@@ -18,7 +18,6 @@
 //                   [--out=BENCH_batch.json]
 #include <cstdio>
 #include <fstream>
-#include <functional>
 
 #include "common.h"
 
@@ -45,8 +44,7 @@ int main(int argc, char** argv) {
   opt.sim.B = static_cast<uint32_t>(cli.get_int("B", 32));
 
   // A mixed tenant population: the three trace families of the test suite.
-  using Prog = std::function<void(detail::EngineCtx<TraceCtx>&)>;
-  std::vector<Prog> progs;
+  std::vector<AnyProg> progs;
   for (uint32_t i = 0; i < shards; ++i) {
     switch (i % 3) {
       case 0: progs.emplace_back(prog_sort(n, 1, SortKind::kSpms)); break;
@@ -60,7 +58,10 @@ int main(int argc, char** argv) {
             "replay-speedup"});
 
   opt.sim.replay_threads = 1;
-  const BatchReport seq = engine().run_batch(progs, opt);
+  const JobResult seq_jr = engine().submit(
+      {.kind = JobKind::kBatch, .shards = shards, .opt = opt}, progs);
+  RO_CHECK_MSG(seq_jr.ok(), seq_jr.error.c_str());
+  const BatchReport& seq = seq_jr.batch;
   t.row({"sequential", "1", Table::num(seq.record_ms),
          Table::num(seq.replay_ms), Table::num(seq.wall_ms), "1.00"});
 
@@ -72,7 +73,10 @@ int main(int argc, char** argv) {
     // metrics to match the flat sequential walk exactly.
     opt.sim.replay_layout = rt::GroupLayout::contiguous(t_eff, replay_groups);
   }
-  const BatchReport par = engine().run_batch(progs, opt);
+  const JobResult par_jr = engine().submit(
+      {.kind = JobKind::kBatch, .shards = shards, .opt = opt}, progs);
+  RO_CHECK_MSG(par_jr.ok(), par_jr.error.c_str());
+  const BatchReport& par = par_jr.batch;
   char spd[32];
   std::snprintf(spd, sizeof spd, "%.2f",
                 par.replay_ms > 0 ? seq.replay_ms / par.replay_ms : 0.0);

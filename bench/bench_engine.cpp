@@ -40,7 +40,9 @@ int main(int argc, char** argv) {
     for (Backend b : backends) {
       opt.backend = b;  // the single knob
       opt.label = label;
-      const RunReport r = engine().run(prog, opt);
+      const JobResult r_jr = engine().submit({.opt = opt}, prog);
+      RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+      const RunReport& r = r_jr.report;
       reports.push_back(r);
       t.row({label, backend_name(b), Table::num(r.wall_ms),
              r.has_sim ? Table::num(r.sim.makespan) : "-",

@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
     std::vector<i64> golden;
     RunOptions seq;
     seq.backend = Backend::kSeq;
-    engine().run(make(golden), seq);
+    const JobResult gj = engine().submit({.opt = seq}, make(golden));
+    RO_CHECK_MSG(gj.ok(), gj.error.c_str());
     RO_CHECK_MSG(!golden.empty(), "golden run produced no output");
     for (Backend b : kPar) {
       const bool numa = backend_is_numa(b);
@@ -104,7 +105,9 @@ int main(int argc, char** argv) {
         RunReport last;
         for (int rep = 0; rep < reps; ++rep) {
           std::vector<i64> out;
-          last = engine().run(make(out), o);
+          const JobResult jr = engine().submit({.opt = o}, make(out));
+          RO_CHECK_MSG(jr.ok(), jr.error.c_str());
+          last = jr.report;
           RO_CHECK_MSG(out == golden,
                        "parallel backend diverged from the seq golden run");
           if (numa && g == 2) {
@@ -147,7 +150,9 @@ int main(int argc, char** argv) {
         o.backend = b;
         o.numa_groups = 2;
         std::vector<i64> out;
-        const RunReport r = engine().run(make_msum(out), o);
+        const JobResult r_jr = engine().submit({.opt = o}, make_msum(out));
+        RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+        const RunReport& r = r_jr.report;
         local_at2[slot] += r.pool_local_steals;
         remote_at2[slot] += r.pool_remote_steals;
       }

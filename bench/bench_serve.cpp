@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   std::vector<JobResult> golden;
   for (const SpecCase& c : cases) {
     golden.push_back(engine().submit(c.spec));
-    detail::require_ok(golden.back(), "bench_serve golden");
+    RO_CHECK_MSG(golden.back().ok(), golden.back().error.c_str());
   }
 
   serve::Server server(sopt);

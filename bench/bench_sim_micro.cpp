@@ -1,16 +1,11 @@
-// E15b — replay data-plane micro-benchmarks (native, always built): LRU
-// cache ops flat-vs-legacy, trace recording rate, and full-replay A/B under
-// both data planes.  These bound how large the experiment sweeps can go,
-// and they *gate* the flat plane's two contracts (docs/perf.md):
+// E15b — replay data-plane micro-benchmarks (native, always built): FlatLru
+// cache ops, trace recording rate, and full-replay wall time.  These bound
+// how large the experiment sweeps can go.  FlatLru's exactness is checked
+// in tests/test_cachesim.cpp against a node-based reference LRU; here every
+// op outcome only folds into a checksum so the optimizer cannot drop the
+// loop.
 //
-//   * exactness: every FlatLru op outcome (hit / evicted / victim) folds
-//     into a checksum that must match the legacy LruCache run of the same
-//     op sequence exactly, and the full-replay legs RO_CHECK bit-identical
-//     Metrics between SimConfig::flat_lru on and off;
-//   * speed: the replay-shaped mixed stream must run >= --min-speedup
-//     (default 1.5x) faster on the flat plane than on the legacy one.
-//
-// Four op patterns, each A/B'd over {flat, legacy}:
+// Four op patterns:
 //
 //   touch-hit   access() over a resident working set (pure hit path)
 //   miss-evict  access() over a strided cold stream (every op evicts)
@@ -19,8 +14,7 @@
 //               periodic invalidations (the touch_block op profile)
 //
 //   $ ./bench_sim_micro [--lines=256] [--ops=4194304] [--reps=3]
-//                       [--n=32768] [--p=8] [--min-speedup=1.5]
-//                       [--out=BENCH_sim_micro.json]
+//                       [--n=32768] [--p=8] [--out=BENCH_sim_micro.json]
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -41,8 +35,7 @@ double now_ms() {
       .count();
 }
 
-/// Accumulates every access outcome so (a) the optimizer cannot drop the
-/// loop and (b) two cache implementations can be checked op-for-op equal.
+/// Accumulates every access outcome so the optimizer cannot drop the loop.
 struct Outcome {
   uint64_t sum = 0;
   void fold(const CacheAccess& r) {
@@ -51,60 +44,32 @@ struct Outcome {
   void fold(bool b) { sum = sum * 3 + (b ? 1 : 0); }
 };
 
-/// One timed run of `ops` pattern steps against a fresh cache of
-/// `lines` lines; returns wall ms and the outcome checksum.
-template <class Cache, class Pattern>
-std::pair<double, uint64_t> run_pattern(uint32_t lines, uint64_t ops,
-                                        Pattern&& step) {
-  Cache c(lines);
-  Outcome o;
-  const double t0 = now_ms();
-  for (uint64_t i = 0; i < ops; ++i) step(c, i, o);
-  const double t1 = now_ms();
-  return {t1 - t0, o.sum};
-}
-
-struct AbRow {
+struct Row {
   std::string label;
-  double flat_ms = 0;
-  double legacy_ms = 0;
+  double ms = 0;  // min over reps
   uint64_t ops = 0;
-  double speedup() const { return flat_ms > 0 ? legacy_ms / flat_ms : 0; }
-  double flat_mops() const { return flat_ms > 0 ? ops / flat_ms / 1e3 : 0; }
-  double legacy_mops() const {
-    return legacy_ms > 0 ? ops / legacy_ms / 1e3 : 0;
-  }
+  uint64_t checksum = 0;
+  double mops() const { return ms > 0 ? ops / ms / 1e3 : 0; }
 };
 
-/// A/B one pattern over both cache classes: interleaved passes (a load
-/// spike hits both sides alike), min-of-reps, checksums RO_CHECK'd equal —
-/// the two planes must produce the identical op-outcome sequence.
+/// Times `ops` pattern steps against a fresh FlatLru of `lines` lines:
+/// one warmup pass (page-in, branch training), then min of `reps`.
 template <class Pattern>
-AbRow ab(const std::string& label, uint32_t lines, uint64_t ops, int reps,
-         Pattern&& step) {
-  AbRow r;
+Row time_pattern(const std::string& label, uint32_t lines, uint64_t ops,
+                 int reps, Pattern&& step) {
+  Row r;
   r.label = label;
   r.ops = ops;
-  uint64_t flat_sum = 0, legacy_sum = 0;
-  run_pattern<FlatLru>(lines, ops, step);  // warmup (page-in, branch train)
-  run_pattern<LruCache>(lines, ops, step);
-  for (int i = 0; i < reps; ++i) {
-    const auto [fm, fs] = run_pattern<FlatLru>(lines, ops, step);
-    const auto [lm, ls] = run_pattern<LruCache>(lines, ops, step);
-    flat_sum = fs;
-    legacy_sum = ls;
-    r.flat_ms = (i == 0 || fm < r.flat_ms) ? fm : r.flat_ms;
-    r.legacy_ms = (i == 0 || lm < r.legacy_ms) ? lm : r.legacy_ms;
+  for (int i = -1; i < reps; ++i) {
+    FlatLru c(lines);
+    Outcome o;
+    const double t0 = now_ms();
+    for (uint64_t k = 0; k < ops; ++k) step(c, k, o);
+    const double ms = now_ms() - t0;
+    r.checksum = o.sum;
+    if (i >= 0 && (i == 0 || ms < r.ms)) r.ms = ms;
   }
-  RO_CHECK_MSG(flat_sum == legacy_sum,
-               "flat and legacy LRU disagree on an op outcome sequence");
   return r;
-}
-
-std::string fx(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2fx", v);
-  return buf;
 }
 
 void json_row(std::string& s, const std::string& label,
@@ -129,35 +94,34 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const size_t n = static_cast<size_t>(cli.get_int("n", 1 << 15));
   const uint32_t p = static_cast<uint32_t>(cli.get_int("p", 8));
-  const double min_speedup = cli.get_double("min-speedup", 1.5);
   std::string json = "[";
 
-  // ---- LRU op patterns, flat vs legacy ----------------------------------
-  std::vector<AbRow> rows;
+  // ---- LRU op patterns --------------------------------------------------
+  std::vector<Row> rows;
 
   // Pure hit path: resident working set, every access touches.
-  rows.push_back(ab(
+  rows.push_back(time_pattern(
       "sim-lru-hit", lines, ops, reps, [&](auto& c, uint64_t i, Outcome& o) {
         o.fold(c.access(i % lines));
       }));
 
   // Every access a cold/capacity miss with an eviction once warm.
-  rows.push_back(ab("sim-lru-evict", lines, ops, reps,
-                    [&](auto& c, uint64_t i, Outcome& o) {
-                      o.fold(c.access(i));
-                    }));
+  rows.push_back(time_pattern("sim-lru-evict", lines, ops, reps,
+                              [&](auto& c, uint64_t i, Outcome& o) {
+                                o.fold(c.access(i));
+                              }));
 
   // Coherence removal path: insert then invalidate, alternating.
-  rows.push_back(ab("sim-lru-inval", lines, ops, reps,
-                    [&](auto& c, uint64_t i, Outcome& o) {
-                      const uint64_t b = i / 2 % (2 * lines);
-                      if ((i & 1) == 0) o.fold(c.access(b));
-                      else o.fold(c.invalidate(b));
-                    }));
+  rows.push_back(time_pattern("sim-lru-inval", lines, ops, reps,
+                              [&](auto& c, uint64_t i, Outcome& o) {
+                                const uint64_t b = i / 2 % (2 * lines);
+                                if ((i & 1) == 0) o.fold(c.access(b));
+                                else o.fold(c.invalidate(b));
+                              }));
 
   // Replay-shaped mix (the touch_block op profile): mostly hot-set hits, a
   // cold tail of evicting misses, periodic invalidations of hot blocks.
-  // Deterministic Rng, same sequence both planes.
+  // Deterministic Rng.
   {
     Rng rng(0xF1A7);
     std::vector<uint64_t> seq(ops);
@@ -176,34 +140,22 @@ int main(int argc, char** argv) {
         kind[i] = 1;
       }
     }
-    rows.push_back(ab("sim-lru-mix", lines, ops, reps,
-                      [&](auto& c, uint64_t i, Outcome& o) {
-                        if (kind[i] == 0) o.fold(c.access(seq[i]));
-                        else o.fold(c.invalidate(seq[i]));
-                      }));
+    rows.push_back(time_pattern("sim-lru-mix", lines, ops, reps,
+                                [&](auto& c, uint64_t i, Outcome& o) {
+                                  if (kind[i] == 0) o.fold(c.access(seq[i]));
+                                  else o.fold(c.invalidate(seq[i]));
+                                }));
   }
 
-  Table t("LRU data plane: flat vs legacy (" + std::to_string(lines) +
-          " lines, " + std::to_string(ops) + " ops, min of " +
-          std::to_string(reps) + ")");
-  t.header({"pattern", "flat ms", "legacy ms", "flat Mop/s", "legacy Mop/s",
-            "speedup"});
-  for (const AbRow& r : rows) {
-    t.row({r.label, Table::num(r.flat_ms), Table::num(r.legacy_ms),
-           Table::num(r.flat_mops()), Table::num(r.legacy_mops()),
-           fx(r.speedup())});
-    json_row(json, r.label, "flat", r.flat_ms, r.ops / r.flat_ms * 1e3);
-    json_row(json, r.label, "legacy", r.legacy_ms, r.ops / r.legacy_ms * 1e3);
+  Table t("LRU data plane (" + std::to_string(lines) + " lines, " +
+          std::to_string(ops) + " ops, min of " + std::to_string(reps) + ")");
+  t.header({"pattern", "ms", "Mop/s", "checksum"});
+  for (const Row& r : rows) {
+    t.row({r.label, Table::num(r.ms), Table::num(r.mops()),
+           std::to_string(r.checksum)});
+    json_row(json, r.label, "flat", r.ms, r.ops / r.ms * 1e3);
   }
   t.print();
-
-  // The acceptance gate: the replay-shaped stream must be measurably
-  // faster on the flat plane, not merely tied.
-  const AbRow& mix = rows.back();
-  std::printf("\nmix speedup %.2fx (gate: >= %.2fx)\n", mix.speedup(),
-              min_speedup);
-  RO_CHECK_MSG(mix.speedup() >= min_speedup,
-               "flat LRU is not fast enough on the replay-shaped stream");
 
   // ---- trace recording rate --------------------------------------------
   {
@@ -215,11 +167,9 @@ int main(int argc, char** argv) {
                 g.accesses.size(), rec_ms, rate / 1e6);
     json_row(json, "sim-record", "native", rec_ms, rate);
 
-    // ---- full replay, flat vs legacy -----------------------------------
-    // Same trace, both schedulers; Metrics must be bit-identical (the
-    // exactness contract), wall clock reported per plane.
-    Table rt("Replay: flat vs legacy data plane");
-    rt.header({"scheduler", "flat ms", "legacy ms", "speedup"});
+    // ---- full replay ----------------------------------------------------
+    Table rt("Replay wall time");
+    rt.header({"scheduler", "ms", "Macc/s"});
     struct Leg {
       const char* label;
       SchedKind kind;
@@ -227,29 +177,17 @@ int main(int argc, char** argv) {
     };
     for (const Leg& leg : {Leg{"sim-replay-seq", SchedKind::kSeq, 1},
                            Leg{"sim-replay-pws", SchedKind::kPws, p}}) {
-      SimConfig c = cfg(leg.p, 1 << 12, 32);
-      double flat_ms = 0, legacy_ms = 0;
-      Metrics fm, lm;
+      const SimConfig c = cfg(leg.p, 1 << 12, 32);
+      double ms = 0;
       for (int i = 0; i < reps; ++i) {
-        c.flat_lru = true;
-        double t1 = now_ms();
-        fm = simulate(g, leg.kind, c);
-        const double f = now_ms() - t1;
-        c.flat_lru = false;
-        t1 = now_ms();
-        lm = simulate(g, leg.kind, c);
-        const double l = now_ms() - t1;
-        flat_ms = (i == 0 || f < flat_ms) ? f : flat_ms;
-        legacy_ms = (i == 0 || l < legacy_ms) ? l : legacy_ms;
+        const double t1 = now_ms();
+        simulate(g, leg.kind, c);
+        const double m = now_ms() - t1;
+        ms = (i == 0 || m < ms) ? m : ms;
       }
-      RO_CHECK_MSG(fm == lm,
-                   "flat and legacy replay Metrics diverged");
-      rt.row({leg.label, Table::num(flat_ms), Table::num(legacy_ms),
-              fx(legacy_ms / flat_ms)});
-      const double rate = g.accesses.size() / flat_ms * 1e3;
-      json_row(json, leg.label, "flat", flat_ms, rate);
-      json_row(json, leg.label, "legacy", legacy_ms,
-               g.accesses.size() / legacy_ms * 1e3);
+      const double rate = g.accesses.size() / ms * 1e3;
+      rt.row({leg.label, Table::num(ms), Table::num(rate / 1e6)});
+      json_row(json, leg.label, "flat", ms, rate);
     }
     rt.print();
   }

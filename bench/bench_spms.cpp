@@ -86,7 +86,10 @@ int main(int argc, char** argv) {
       opt.backend = b;
       opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
       opt.label = name;
-      const RunReport r = engine().run(prog_sort(n, 1, kind), opt);
+      const JobResult r_jr =
+          engine().submit({.opt = opt}, prog_sort(n, 1, kind));
+      RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+      const RunReport& r = r_jr.report;
       t.row({name, backend_name(b), "-", "-", "-", "-", "-", "-", "-",
              Table::num(r.wall_ms)});
     }
@@ -152,8 +155,10 @@ int main(int argc, char** argv) {
       opt.spms = kt;
       double best = 0;
       for (int r = 0; r < 3; ++r) {
-        const double ms =
-            engine().run(prog_sort(n, 1, SortKind::kSpms), opt).wall_ms;
+        const JobResult jr =
+            engine().submit({.opt = opt}, prog_sort(n, 1, SortKind::kSpms));
+        RO_CHECK_MSG(jr.ok(), jr.error.c_str());
+        const double ms = jr.report.wall_ms;
         best = (r == 0 || ms < best) ? ms : best;
       }
       sort_ms[kernels] = best;

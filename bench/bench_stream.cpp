@@ -27,7 +27,6 @@
 //                    [--out=BENCH_stream.json]
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,9 @@ int main(int argc, char** argv) {
   t.header({"pipeline", "window", "trace-MB", "resident-peak-MB", "spilled-MB",
             "compressed-MB", "ratio", "segments", "makespan", "wall-ms"});
 
-  const RunReport mem = engine().run(prog, opt);
+  const JobResult mem_jr = engine().submit({.opt = opt}, prog);
+  RO_CHECK_MSG(mem_jr.ok(), mem_jr.error.c_str());
+  const RunReport& mem = mem_jr.report;
   const uint64_t trace_bytes = mem.graph.accesses * sizeof(Access);
   t.row({"in-memory", "-", mb(trace_bytes), mb(trace_bytes), "0.00", "0.00",
          "-", "0", std::to_string(mem.sim.makespan), Table::num(mem.wall_ms)});
@@ -91,7 +92,9 @@ int main(int argc, char** argv) {
     sopt.label = "stream-w" + std::to_string(w);
     sopt.trace.segment_tasks = segment;
     sopt.trace.max_resident_segments = w;
-    const RunReport r = engine().run(prog, sopt);
+    const JobResult r_jr = engine().submit({.opt = sopt}, prog);
+    RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+    const RunReport& r = r_jr.report;
     RO_CHECK_MSG(r.has_stream, "streaming run must report store stats");
 
     // Exactness: scheduling decisions consume identical records, so the
@@ -138,7 +141,9 @@ int main(int argc, char** argv) {
     ropt.trace.segment_tasks = segment;
     ropt.trace.max_resident_segments = w0;
     ropt.trace.compress = false;
-    const RunReport r = engine().run(prog, ropt);
+    const JobResult r_jr = engine().submit({.opt = ropt}, prog);
+    RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+    const RunReport& r = r_jr.report;
     RO_CHECK_MSG(r.sim == mem.sim,
                  "raw-mode replay diverged from the in-memory walk");
     RO_CHECK_MSG(r.trace_compressed_bytes == r.trace_spilled_bytes,
@@ -163,14 +168,13 @@ int main(int argc, char** argv) {
   // ---- record-while-replay pipelining: serial vs pipelined batch ----
   //
   // A heterogeneous sort batch (SPMS + merge sort at two sizes) run twice
-  // through run_batch: once with phase barriers (record all shards, then
+  // as a batch job: once with phase barriers (record all shards, then
   // replay all shards) and once pipelined (per-shard record -> analyze ->
   // replay chains, stores spilling compressed segments behind their
   // recorders).  Metrics must be bit-identical; the pipelined wall must
   // not lose to the barrier schedule.
   if (cli.get_int("pipeline", 1) != 0) {
-    using Prog = std::function<void(detail::EngineCtx<TraceCtx>&)>;
-    std::vector<Prog> progs;
+    std::vector<AnyProg> progs;
     progs.emplace_back(prog_sort(n, 1, SortKind::kSpms));
     progs.emplace_back(prog_sort(n, 1, SortKind::kMsort));
     progs.emplace_back(prog_sort(n / 2, 1, SortKind::kSpms));
@@ -182,12 +186,24 @@ int main(int argc, char** argv) {
         static_cast<uint32_t>(cli.get_int("pipeline-threads", 4));
     bopt.trace.segment_tasks = segment;
     bopt.trace.max_resident_segments = w0;
-    const BatchReport serial = engine().run_batch(progs, bopt);
+    const JobResult serial_jr = engine().submit(
+        {.kind = JobKind::kBatch,
+         .shards = static_cast<uint32_t>(progs.size()),
+         .opt = bopt},
+        progs);
+    RO_CHECK_MSG(serial_jr.ok(), serial_jr.error.c_str());
+    const BatchReport& serial = serial_jr.batch;
 
     RunOptions popt = bopt;
     popt.label = "stream-pipelined";
     popt.pipeline = true;
-    const BatchReport piped = engine().run_batch(progs, popt);
+    const JobResult piped_jr = engine().submit(
+        {.kind = JobKind::kBatch,
+         .shards = static_cast<uint32_t>(progs.size()),
+         .opt = popt},
+        progs);
+    RO_CHECK_MSG(piped_jr.ok(), piped_jr.error.c_str());
+    const BatchReport& piped = piped_jr.batch;
 
     RO_CHECK_MSG(piped.pipelined, "pipelined batch must set the report flag");
     RO_CHECK_MSG(piped.runs.size() == serial.runs.size(),

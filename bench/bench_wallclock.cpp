@@ -5,7 +5,7 @@
 // backend, under both steal policies.  On this 2-core build host the
 // interesting signal is that the runtime is correct and not pathologically
 // slower than sequential; the scheduler *theory* is measured by the
-// simulator benches.  Each iteration is a full Engine::run (allocation +
+// simulator benches.  Each iteration is a full Engine::submit (allocation +
 // input build + computation) on every backend, so the rows are comparable.
 #include <benchmark/benchmark.h>
 
@@ -25,7 +25,9 @@ void BM_Msum(benchmark::State& state) {
   opt.serial_below = 1 << 12;
   uint64_t steals = 0;
   for (auto _ : state) {
-    const RunReport r = engine().run(prog_msum(n, 512), opt);
+    const JobResult r_jr = engine().submit({.opt = opt}, prog_msum(n, 512));
+    RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+    const RunReport& r = r_jr.report;
     steals += r.pool_steals;
     benchmark::DoNotOptimize(r.wall_ms);
   }
@@ -49,7 +51,9 @@ void BM_Sort(benchmark::State& state) {
   opt.threads = 2;
   opt.serial_below = 1 << 12;
   for (auto _ : state) {
-    const RunReport r = engine().run(prog_sort(n, 64), opt);
+    const JobResult r_jr = engine().submit({.opt = opt}, prog_sort(n, 64));
+    RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+    const RunReport& r = r_jr.report;
     benchmark::DoNotOptimize(r.wall_ms);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -66,7 +70,10 @@ void BM_StrassenPar(benchmark::State& state) {
   opt.threads = 2;
   opt.serial_below = 1 << 12;
   for (auto _ : state) {
-    const RunReport r = engine().run(prog_strassen(n, 16), opt);
+    const JobResult r_jr =
+        engine().submit({.opt = opt}, prog_strassen(n, 16));
+    RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
+    const RunReport& r = r_jr.report;
     benchmark::DoNotOptimize(r.wall_ms);
   }
 }

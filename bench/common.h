@@ -235,8 +235,10 @@ inline KernelMergeBench kernel_merge_bench(size_t n = size_t{1} << 21,
   return kb;
 }
 
-/// Process-wide Engine: one record/replay entry point and one cached thread
-/// pool per steal policy, shared by everything in a bench binary.
+/// Process-wide Engine shared by everything in a bench binary: jobs run
+/// through submit(), traces through record/replay, and parallel jobs lease
+/// pools from its PoolCache (threads = 0 sizes them at hardware
+/// concurrency).
 inline Engine& engine() {
   static Engine e;
   return e;

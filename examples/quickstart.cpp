@@ -53,7 +53,12 @@ int main(int argc, char** argv) {
             "block-miss", "steals", "usurpations"});
   for (Backend b : kAllBackends) {
     opt.backend = b;  // the single change
-    const RunReport r = eng.run(prog, opt);
+    const JobResult jr = eng.submit({.opt = opt}, prog);
+    if (!jr.ok()) {
+      std::fprintf(stderr, "%s: %s\n", backend_name(b), jr.error.c_str());
+      return 1;
+    }
+    const RunReport& r = jr.report;
 
     // 3. Outputs are real on every backend — verify.
     i64 run = 0;

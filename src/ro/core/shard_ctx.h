@@ -7,7 +7,7 @@
 // or on concurrent threads — produce traces whose global addresses can never
 // alias (vspace.h bit split).  The per-shard graphs then fuse via
 // merge_shards() and replay in parallel (sched/replay.h), which is the whole
-// record→replay batch pipeline of Engine::run_batch.
+// record→replay pipeline of batch jobs (JobKind::kBatch).
 //
 // Two flavours:
 //   * ShardCtx(ssp, s)  — allocates in shard `s` of a shared ShardedVSpace

@@ -89,8 +89,11 @@ class AnyProg {
 
   template <class Prog,
             class = std::enable_if_t<
-                !std::is_same_v<std::decay_t<Prog>, AnyProg>>>
-  AnyProg(Prog&& prog) {  // NOLINT: implicit by design — run(lambda) works
+                !std::is_same_v<std::decay_t<Prog>, AnyProg> &&
+                (std::is_invocable_v<Prog&, detail::EngineCtx<SeqCtx>&> ||
+                 std::is_invocable_v<Prog&, detail::EngineCtx<TraceCtx>&> ||
+                 std::is_invocable_v<Prog&, detail::EngineCtx<rt::ParCtx>&>)>>
+  AnyProg(Prog&& prog) {  // NOLINT: implicit by design: submit(spec, lambda)
     if constexpr (std::is_invocable_v<Prog&, detail::EngineCtx<SeqCtx>&>) {
       seq_ = prog;
     }

@@ -1,6 +1,6 @@
 #include "ro/engine/engine.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 
@@ -8,6 +8,7 @@
 #include "ro/rt/numa.h"
 #include "ro/sched/run.h"
 #include "ro/sim/contention.h"
+#include "ro/util/bits.h"
 
 namespace ro {
 
@@ -57,12 +58,6 @@ void TuningGate::leave() {
   }
 }
 
-void require_ok(const JobResult& jr, const char* what) {
-  if (jr.ok()) return;
-  std::fprintf(stderr, "%s: %s\n", what, jr.error.c_str());
-  RO_CHECK_MSG(false, "job failed; see the error above");
-}
-
 }  // namespace detail
 
 doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
@@ -108,9 +103,10 @@ doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
 
 namespace {
 
+/// Hardware concurrency, clamped to the pool's worker limit.
 unsigned hw_threads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 2 : hw;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 2 : std::min(hw, rt::kMaxPoolThreads);
 }
 
 /// Copies the graph's TraceStore statistics (segments, spilled bytes,
@@ -552,6 +548,20 @@ bool check_spec(const JobSpec& spec, JobResult& jr) {
     fail(jr, "sim cache must hold >= 1 block");
     return false;
   }
+  if (!is_pow2(spec.opt.align_words)) {
+    fail(jr, "align_words must be a power of two");
+    return false;
+  }
+  if (spec.opt.threads > rt::kMaxPoolThreads) {
+    fail(jr, "threads must be <= " + std::to_string(rt::kMaxPoolThreads) +
+                 " (0 = hardware concurrency)");
+    return false;
+  }
+  // Negated so NaN fails too.
+  if (!(spec.opt.numa_escape >= 0.0 && spec.opt.numa_escape <= 1.0)) {
+    fail(jr, "numa_escape must be a probability in [0, 1]");
+    return false;
+  }
   if (spec.opt.spms.has_value()) {
     const alg::SpmsTuning& t = *spec.opt.spms;
     if (t.merge_base < 2 || t.merge2_min < 2 || t.stride_mul < 1 ||
@@ -639,24 +649,11 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
     case Backend::kParPriority:
     case Backend::kParNumaRandom:
     case Backend::kParNumaPriority: {
-      const rt::StealPolicy policy = steal_policy_of(opt.backend);
-      const bool numa = backend_is_numa(opt.backend);
-      const int slot = (numa ? 2 : 0) +
-                       (policy == rt::StealPolicy::kPriority ? 1 : 0);
-      const PoolKey key =
-          numa ? resolve_numa_key(policy, opt.threads, opt.numa_groups,
-                                  opt.numa_escape, opt.numa_pin)
-               : resolve_flat_key(policy, opt.threads);
       // Exclusive lease: concurrent submits wanting the same configuration
       // get sibling pools instead of racing on one (Pool::run is not
-      // reentrant).  The memo keeps the legacy accessors pointing at the
-      // engine's most recent pool for the slot.
-      PoolCache::Lease lease = pool_cache_.acquire(key);
+      // reentrant).
+      PoolCache::Lease lease = pool_cache_.acquire(pool_key_of(opt));
       rt::Pool& pool = lease.pool();
-      {
-        std::lock_guard<std::mutex> lk(memo_mu_);
-        memo_[slot] = SlotMemo{true, key, &pool};
-      }
       const rt::PoolStats before = pool.stats();
       rt::ParCtx cx(pool, opt.serial_below);
       detail::EngineCtx<rt::ParCtx> ec(cx);
@@ -822,69 +819,20 @@ RunReport Engine::replay(const TaskGraph& g, Backend backend,
   return r;
 }
 
-PoolKey Engine::resolve_flat_key(rt::StealPolicy policy, unsigned threads) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 0 : 1;
+PoolKey Engine::pool_key_of(const RunOptions& opt) {
   PoolKey key;
-  key.policy = policy;
-  if (threads != 0) {
-    key.threads = threads;
-  } else {
-    // 0 = keep the policy's current size (the legacy contract).
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    key.threads = memo_[slot].valid ? memo_[slot].key.threads : hw_threads();
+  key.policy = steal_policy_of(opt.backend);
+  key.threads = opt.threads != 0 ? opt.threads : hw_threads();
+  if (backend_is_numa(opt.backend)) {
+    key.numa = true;
+    // Canonical group count: 0 resolves to one group per detected node, so
+    // "auto" and the explicit detected count share one cache entry (the
+    // layouts are identical — rt::numa_group_layout).
+    key.groups = rt::numa_group_layout(key.threads, opt.numa_groups).groups();
+    key.escape = opt.numa_escape;
+    key.pin = opt.numa_pin;
   }
   return key;
-}
-
-PoolKey Engine::resolve_numa_key(rt::StealPolicy policy, unsigned threads,
-                                 uint32_t groups, double escape, bool pin) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 2 : 3;
-  PoolKey key;
-  key.policy = policy;
-  key.numa = true;
-  if (threads != 0) {
-    key.threads = threads;
-  } else {
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    key.threads = memo_[slot].valid ? memo_[slot].key.threads : hw_threads();
-  }
-  // Canonical group count: 0 resolves to one group per detected node, so
-  // "auto" and the explicit detected count share one cache entry (the
-  // layouts are identical — rt::numa_group_layout).
-  key.groups = rt::numa_group_layout(key.threads, groups).groups();
-  key.escape = escape;
-  key.pin = pin;
-  return key;
-}
-
-rt::Pool& Engine::sticky_pool(int slot, const PoolKey& key) {
-  {
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    if (memo_[slot].valid && memo_[slot].key == key) {
-      return *memo_[slot].pool;
-    }
-  }
-  // Non-leasing lookup: take (or create) an instance and return it to the
-  // free list immediately — the accessor contract is a stable reference
-  // for a single-threaded caller, not exclusivity.
-  PoolCache::Lease lease = pool_cache_.acquire(key);
-  rt::Pool& pool = lease.pool();
-  lease.release();
-  std::lock_guard<std::mutex> lk(memo_mu_);
-  memo_[slot] = SlotMemo{true, key, &pool};
-  return pool;
-}
-
-rt::Pool& Engine::pool(rt::StealPolicy policy, unsigned threads) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 0 : 1;
-  return sticky_pool(slot, resolve_flat_key(policy, threads));
-}
-
-rt::Pool& Engine::numa_pool(rt::StealPolicy policy, unsigned threads,
-                            uint32_t groups, double escape, bool pin) {
-  const int slot = policy == rt::StealPolicy::kRandom ? 2 : 3;
-  return sticky_pool(slot,
-                     resolve_numa_key(policy, threads, groups, escape, pin));
 }
 
 }  // namespace ro

@@ -12,22 +12,23 @@
 //     auto out = cx.template alloc<int64_t>(1, "out");
 //     cx.run(n, [&] { alg::msum(cx, a.slice(), out.slice()); });
 //   };
-//   RunOptions opt;
-//   opt.backend = Backend::kSimPws;   // the only thing that changes
-//   RunReport r = eng.run(prog, opt);
+//   JobSpec spec;
+//   spec.opt.backend = Backend::kSimPws;   // the only thing that changes
+//   JobResult jr = eng.submit(spec, prog);
+//   if (!jr.ok()) ... jr.error ...
+//   const RunReport& r = jr.report;
 //
 // `prog` must call cx.run(root_size, body) exactly once; allocation and
 // input initialization happen before it, accounted accesses inside it.
 //
-// The primary entry point is Engine::submit(JobSpec [, program]): one
-// versioned spec describes the job (docs/engine.md), the result comes back
-// as a JobResult with a status instead of an abort, and — the redesign's
-// point — submit is safe to call from many threads at once.  Pools come
-// from a thread-safe PoolCache under exclusive leases, and per-job SPMS
-// tuning goes through a TuningGate instead of an unsynchronized global
-// swap.  run / run_batch are thin shims over submit and remain the
-// convenient single-caller surface; record / replay / diagnose expose the
-// two phases separately for benches that replay one trace on many machines.
+// Engine::submit(JobSpec [, program]) is the one way to run a job: one
+// versioned spec describes it (docs/engine.md), the result comes back as a
+// JobResult with a status instead of an abort, and submit is safe to call
+// from many threads at once.  Pools come from a thread-safe PoolCache under
+// exclusive leases, and per-job SPMS tuning goes through a TuningGate
+// instead of an unsynchronized global swap.  record / replay / diagnose
+// expose the two phases separately for benches that replay one trace on
+// many machines.
 #pragma once
 
 #include <atomic>
@@ -99,10 +100,6 @@ class TuningGate {
   alg::SpmsTuning base_{};    // process default snapshotted at group start
 };
 
-/// Aborts with the JobResult's error when a shim's job failed — the legacy
-/// entry points promised RO_CHECK semantics, submit promises a status.
-void require_ok(const JobResult& jr, const char* what);
-
 }  // namespace detail
 
 class Engine {
@@ -128,44 +125,7 @@ class Engine {
   /// Batch flavour: one program per shard (kBatch jobs).
   JobResult submit(const JobSpec& spec, const std::vector<AnyProg>& progs);
 
-  // ---- legacy single-caller surface (shims over submit) ----------------
-
-  /// Runs `prog` on the backend selected by `opt` and returns the unified
-  /// report.  `prog(cx)` must call cx.run(root_size, body) exactly once.
-  /// Equivalent to submit() with a kRun spec; kept for callers that want
-  /// report-or-abort semantics.
-  template <class Prog>
-  RunReport run(Prog&& prog, const RunOptions& opt = {}) {
-    JobSpec spec;
-    spec.kind = JobKind::kRun;
-    spec.opt = opt;
-    JobResult jr = submit(spec, AnyProg(std::forward<Prog>(prog)));
-    detail::require_ok(jr, "Engine::run");
-    return std::move(jr.report);
-  }
-
-  /// Batch pipeline: records `progs[i]` into shard i of one ShardedVSpace —
-  /// on concurrent host threads when opt.sim.replay_threads allows — fuses
-  /// the per-shard graphs with merge_shards, and replays every shard (plus
-  /// its p=1 baseline unless opt.seq_baseline is off) in parallel against
-  /// the machine opt.sim describes.  opt.backend must be kSeq / kSimPws /
-  /// kSimRws.  The BatchReport carries one RunReport per shard (labelled
-  /// "label#i") and the shard-order aggregate; both are bit-identical for
-  /// every replay_threads value.  With opt.capacity_shared the shards
-  /// replay on ONE shared machine with per-tenant attribution instead
-  /// (docs/serve.md).  Equivalent to submit() with a kBatch spec.
-  template <class Prog>
-  BatchReport run_batch(const std::vector<Prog>& progs,
-                        const RunOptions& opt = {}) {
-    std::vector<AnyProg> any(progs.begin(), progs.end());
-    JobSpec spec;
-    spec.kind = JobKind::kBatch;
-    spec.shards = static_cast<uint32_t>(progs.size());
-    spec.opt = opt;
-    JobResult jr = submit(spec, any);
-    detail::require_ok(jr, "Engine::run_batch");
-    return std::move(jr.batch);
-  }
+  // ---- the two phases, for benches that replay one trace many times ----
 
   /// Records `prog` through a fresh TraceCtx (the Engine-owned virtual
   /// address space) and returns the graph + stats for repeated replay.
@@ -239,36 +199,6 @@ class Engine {
     return diagnose(rec.graph, backend, sim, opt, label);
   }
 
-  // ---- legacy pool accessors -------------------------------------------
-  // Deprecated single-caller conveniences over the PoolCache: they return
-  // a plain reference *without* holding the exclusive lease, exactly like
-  // the old cached slots — fine for one thread driving the engine, unsound
-  // for concurrent use (that is what submit() is for).  The cache keeps
-  // every pool alive for the engine's lifetime, so the references stay
-  // valid even after a different configuration is requested.
-
-  /// The cached flat real-thread pool for a policy.  threads = 0 keeps the
-  /// policy's current pool (created at hardware concurrency on first use);
-  /// a nonzero value selects (and on first use creates) that size.
-  rt::Pool& pool(rt::StealPolicy policy, unsigned threads = 0);
-
-  /// The cached NUMA-aware pool for a policy: `groups` worker groups
-  /// (0 = one per detected node) with `escape` as the random flavor's
-  /// cross-group steal probability.  A different configuration selects a
-  /// different cached pool.
-  rt::Pool& numa_pool(rt::StealPolicy policy, unsigned threads = 0,
-                      uint32_t groups = 0, double escape = 1.0 / 16,
-                      bool pin = false);
-
-  /// The pool `opt` asks for — flat or NUMA-aware, from opt.backend.
-  rt::Pool& pool_for(const RunOptions& opt) {
-    if (backend_is_numa(opt.backend)) {
-      return numa_pool(steal_policy_of(opt.backend), opt.threads,
-                       opt.numa_groups, opt.numa_escape, opt.numa_pin);
-    }
-    return pool(steal_policy_of(opt.backend), opt.threads);
-  }
-
   /// Pools ever constructed by this engine's cache (tests/observability).
   uint64_t pools_created() const { return pool_cache_.created(); }
 
@@ -287,38 +217,21 @@ class Engine {
   TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
                          bool padded, uint64_t align_words, uint32_t shard);
 
-  /// kRun execution core (the old templated run()): dispatches on the
-  /// backend, drives record/replay or a leased pool, fills the report.
+  /// kRun execution core: dispatches on the backend, drives record/replay
+  /// or a leased pool, fills the report.
   RunReport run_one(const AnyProg& prog, const RunOptions& opt);
 
   /// kBatch execution core: serial, pipelined, or capacity-shared path.
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 
-  /// Resolves the pool configuration a parallel run asks for, applying the
-  /// "threads = 0 keeps the policy's current size" memo.
-  PoolKey resolve_flat_key(rt::StealPolicy policy, unsigned threads);
-  PoolKey resolve_numa_key(rt::StealPolicy policy, unsigned threads,
-                           uint32_t groups, double escape, bool pin);
-
-  /// The legacy accessors' core: returns the memoized pool when the key
-  /// matches, otherwise looks the key up in the cache (non-leasing) and
-  /// re-memoizes.
-  rt::Pool& sticky_pool(int slot, const PoolKey& key);
+  /// The pool key a parallel run asks for (threads = 0 resolves to
+  /// hardware concurrency).
+  static PoolKey pool_key_of(const RunOptions& opt);
 
   PoolCache pool_cache_;
   detail::TuningGate tuning_gate_;
   std::atomic<uint64_t> next_job_id_{1};
-
-  // Last-key memos behind the legacy accessors' "0 = keep current"
-  // semantics: slots 0/1 flat random/priority, 2/3 NUMA random/priority.
-  struct SlotMemo {
-    bool valid = false;
-    PoolKey key;
-    rt::Pool* pool = nullptr;  // owned by pool_cache_, never destroyed
-  };
-  std::mutex memo_mu_;
-  SlotMemo memo_[4];
 };
 
 }  // namespace ro

@@ -1,5 +1,6 @@
 #include "ro/engine/job.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -132,7 +133,6 @@ std::string JobSpec::to_json() const {
   kv(s, "M2", opt.sim.M2);
   kv(s, "l2_latency", static_cast<uint64_t>(opt.sim.l2_latency));
   kv(s, "write_hold", static_cast<uint64_t>(opt.sim.write_hold));
-  kv(s, "flat_lru", static_cast<uint64_t>(opt.sim.flat_lru ? 1 : 0));
   kv(s, "replay_threads", static_cast<uint64_t>(opt.sim.replay_threads));
   kv(s, "padded", static_cast<uint64_t>(opt.padded ? 1 : 0));
   kv(s, "align_words", opt.align_words);
@@ -181,6 +181,14 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
   }
   if (spec.schema_version.empty()) spec.schema_version = job_schema_version();
 
+  // 32-bit fields: remember the first value that would wrap, so the spec is
+  // refused instead of silently running a different machine.
+  std::string wrapped;
+  const auto u32 = [&wrapped](const std::string& k, const std::string& v) {
+    const uint64_t x = as_u64(v);
+    if (x > UINT32_MAX && wrapped.empty()) wrapped = k;
+    return static_cast<uint32_t>(x);
+  };
   for (const auto& [k, v] : kvs) {
     if (k == "schema_version") continue;
     else if (k == "tenant") spec.tenant = v;
@@ -191,27 +199,21 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
     } else if (k == "workload") spec.workload = v;
     else if (k == "n") spec.n = as_u64(v);
     else if (k == "seed") spec.seed = as_u64(v);
-    else if (k == "shards") spec.shards = static_cast<uint32_t>(as_u64(v));
+    else if (k == "shards") spec.shards = u32(k, v);
     else if (k == "backend") {
       if (!parse_backend(v, spec.opt.backend))
         return fail("unknown backend \"" + v + "\"");
     } else if (k == "label") spec.opt.label = v;
-    else if (k == "p") spec.opt.sim.p = static_cast<uint32_t>(as_u64(v));
+    else if (k == "p") spec.opt.sim.p = u32(k, v);
     else if (k == "M") spec.opt.sim.M = as_u64(v);
-    else if (k == "B") spec.opt.sim.B = static_cast<uint32_t>(as_u64(v));
-    else if (k == "miss_latency")
-      spec.opt.sim.miss_latency = static_cast<uint32_t>(as_u64(v));
-    else if (k == "steal_latency")
-      spec.opt.sim.steal_latency = static_cast<uint32_t>(as_u64(v));
+    else if (k == "B") spec.opt.sim.B = u32(k, v);
+    else if (k == "miss_latency") spec.opt.sim.miss_latency = u32(k, v);
+    else if (k == "steal_latency") spec.opt.sim.steal_latency = u32(k, v);
     else if (k == "sim_seed") spec.opt.sim.seed = as_u64(v);
     else if (k == "M2") spec.opt.sim.M2 = as_u64(v);
-    else if (k == "l2_latency")
-      spec.opt.sim.l2_latency = static_cast<uint32_t>(as_u64(v));
-    else if (k == "write_hold")
-      spec.opt.sim.write_hold = static_cast<uint32_t>(as_u64(v));
-    else if (k == "flat_lru") spec.opt.sim.flat_lru = as_u64(v) != 0;
-    else if (k == "replay_threads")
-      spec.opt.sim.replay_threads = static_cast<uint32_t>(as_u64(v));
+    else if (k == "l2_latency") spec.opt.sim.l2_latency = u32(k, v);
+    else if (k == "write_hold") spec.opt.sim.write_hold = u32(k, v);
+    else if (k == "replay_threads") spec.opt.sim.replay_threads = u32(k, v);
     else if (k == "padded") spec.opt.padded = as_u64(v) != 0;
     else if (k == "align_words") spec.opt.align_words = as_u64(v);
     else if (k == "seq_baseline") spec.opt.seq_baseline = as_u64(v) != 0;
@@ -220,25 +222,25 @@ bool jobspec_from_json(const std::string& text, JobSpec& out,
       spec.opt.capacity_shared = as_u64(v) != 0;
     else if (k == "segment_tasks") spec.opt.trace.segment_tasks = as_u64(v);
     else if (k == "max_resident_segments")
-      spec.opt.trace.max_resident_segments =
-          static_cast<uint32_t>(as_u64(v));
+      spec.opt.trace.max_resident_segments = u32(k, v);
     else if (k == "compress") spec.opt.trace.compress = as_u64(v) != 0;
-    else if (k == "threads")
-      spec.opt.threads = static_cast<unsigned>(as_u64(v));
+    else if (k == "threads") spec.opt.threads = u32(k, v);
     else if (k == "serial_below") spec.opt.serial_below = as_u64(v);
-    else if (k == "numa_groups")
-      spec.opt.numa_groups = static_cast<uint32_t>(as_u64(v));
+    else if (k == "numa_groups") spec.opt.numa_groups = u32(k, v);
     else if (k == "numa_escape") spec.opt.numa_escape = as_double(v);
     else if (k == "numa_pin") spec.opt.numa_pin = as_u64(v) != 0;
-    else if (k == "doc_max_lines")
-      spec.doc.max_lines = static_cast<uint32_t>(as_u64(v));
+    else if (k == "doc_max_lines") spec.doc.max_lines = u32(k, v);
     else if (k == "doc_min_false_events") spec.doc.min_false_events = as_u64(v);
     else if (k == "spms") {
       alg::SpmsTuning t = alg::spms_tuning();
       if (!spms_from_json(v, t)) return fail("malformed spms tuning object");
       spec.opt.spms = t;
     }
-    // Unknown keys: skipped by design (a newer minor added them).
+    // Unknown keys: skipped by design (a newer minor added them, or an
+    // older 1.x writer still sends the retired data-plane switch).
+  }
+  if (!wrapped.empty()) {
+    return fail("\"" + wrapped + "\" exceeds the 32-bit range");
   }
   out = std::move(spec);
   return true;

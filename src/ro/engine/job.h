@@ -40,20 +40,20 @@ const char* job_kind_name(JobKind k);
 bool parse_job_kind(const std::string& name, JobKind& out);
 
 struct JobSpec {
-  std::string schema_version;  // "" = current (job_schema_version())
-  std::string tenant;          // admission-control identity (may be empty)
-  std::string tag;             // caller correlation id, echoed verbatim
+  std::string schema_version{};  // "" = current (job_schema_version())
+  std::string tenant{};          // admission-control identity (may be empty)
+  std::string tag{};             // caller correlation id, echoed verbatim
   JobKind kind = JobKind::kRun;
 
   // ---- named workloads (the registry in engine/workloads.h) ----
   // Empty = the program is passed programmatically to Engine::submit.
-  std::string workload;
+  std::string workload{};
   uint64_t n = 1 << 12;  // workload size
   uint64_t seed = 0;     // extra input-seed salt (0 = the classic inputs)
 
   uint32_t shards = 1;   // batch jobs: number of shard programs
-  RunOptions opt;
-  doctor::DoctorOptions doc;  // diagnose jobs
+  RunOptions opt{};
+  doctor::DoctorOptions doc{};  // diagnose jobs
 
   /// Flat JSON object (nested "spms" tuning object when set).
   std::string to_json() const;

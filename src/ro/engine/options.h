@@ -56,7 +56,7 @@ struct RunOptions {
   uint32_t shard = 0;           // address shard to record into (vspace.h)
   bool seq_baseline = true;     // also replay at p=1 for Q(n,M,B) + excess
   StreamOptions trace;          // streaming trace pipeline (off by default)
-  // Record-while-replay pipelining.  Engine::run overlaps the stream
+  // Record-while-replay pipelining.  A kRun job overlaps the stream
   // analysis pass with the replay walks and spills/compresses trace
   // segments behind the recorder (TraceStore async_spill), so the wall
   // clock approaches record + max(analyze, replay) instead of their sum.
@@ -78,9 +78,7 @@ struct RunOptions {
   bool capacity_shared = false;
 
   // ---- parallel backends ----
-  // Pool size.  0 = keep the engine's current pool for the policy (created
-  // at hardware concurrency on first use); a nonzero value selects (and on
-  // first use creates) the pool of that size.
+  // Pool size, <= rt::kMaxPoolThreads.  0 = hardware concurrency.
   unsigned threads = 0;
   uint64_t serial_below = 1 << 12;  // ParCtx serial cutoff, words
 

@@ -41,9 +41,6 @@ struct PoolKey {
     return std::tie(a.policy, a.threads, a.numa, a.groups, a.escape, a.pin) <
            std::tie(b.policy, b.threads, b.numa, b.groups, b.escape, b.pin);
   }
-  friend bool operator==(const PoolKey& a, const PoolKey& b) {
-    return !(a < b) && !(b < a);
-  }
 };
 
 class PoolCache {

@@ -133,8 +133,9 @@ std::string reports_to_json(const std::vector<RunReport>& reports);
 /// rest on — a field silently dropped by to_json fails the round-trip test.
 bool report_from_json(const std::string& json, RunReport& out);
 
-/// The result of one Engine::run_batch: per-shard RunReports (shard order)
-/// plus the shard-order aggregate, with the batch phase timings.
+/// The result of one batch job (JobKind::kBatch): per-shard RunReports
+/// (shard order) plus the shard-order aggregate, with the batch phase
+/// timings.
 struct BatchReport {
   std::string label;
   Backend backend = Backend::kSimPws;

@@ -28,7 +28,7 @@ Pool::Pool(unsigned threads, StealPolicy policy, uint64_t seed)
 
 Pool::Pool(unsigned threads, const PoolOptions& opt)
     : policy_(opt.policy), escape_prob_(opt.escape_prob), pin_(opt.pin) {
-  RO_CHECK(threads >= 1 && threads <= 256);
+  RO_CHECK(threads >= 1 && threads <= kMaxPoolThreads);
   RO_CHECK_MSG(escape_prob_ >= 0.0 && escape_prob_ <= 1.0,
                "escape_prob must be a probability");
   GroupLayout layout = opt.layout;

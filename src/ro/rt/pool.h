@@ -72,6 +72,9 @@ struct PoolOptions {
   bool pin = false;
 };
 
+/// Largest worker count a Pool accepts.
+inline constexpr unsigned kMaxPoolThreads = 256;
+
 class Pool {
  public:
   /// Spawns `threads` workers (including the caller as worker 0, so

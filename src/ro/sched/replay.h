@@ -49,9 +49,9 @@
 // for recording to finish — start_act charges the activation's
 // frame_words, which the recorder only knows at the activation's end —
 // so Engine-level pipelining (RunOptions::pipeline) overlaps at coarser
-// grain instead: per-shard record -> analyze -> replay chains in
-// run_batch (shard i replays while shard j records) and an
-// analyze-vs-replay overlap plus write-behind segment spilling in run.
+// grain instead: per-shard record -> analyze -> replay chains in batch
+// jobs (shard i replays while shard j records) and an analyze-vs-replay
+// overlap plus write-behind segment spilling in run jobs.
 // Metrics are unaffected: every walk consumes the same sealed records.
 #pragma once
 
@@ -93,15 +93,6 @@ struct SimConfig {
   // the hold expires, letting the writer finish its run of writes instead
   // of ping-ponging per word.  0 = plain invalidation protocol.
   uint32_t write_hold = 0;
-
-  // Replay data-plane selector (docs/perf.md).  true (default) = the flat
-  // allocation-free FlatLru cache with the single-probe combined access op;
-  // false = the legacy node-based LruCache (std::list + unordered_map).
-  // LRU semantics are identical, so every deterministic metric is
-  // bit-identical either way — the legacy plane exists exactly so that
-  // claim stays RO_CHECK-able (tests/, bench_sim_micro A/B rows).  A host
-  // implementation knob like replay_threads: never visible in Metrics.
-  bool flat_lru = true;
 
   // Host threads replaying shard units (see header comment).  1 = the
   // sequential walk (default), 0 = hardware concurrency.  A host knob, not

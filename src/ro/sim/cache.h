@@ -6,30 +6,20 @@
 // lines.  Coherence invalidations remove lines out from under the owner —
 // see sched/replay.cpp for the protocol.
 //
-// Two implementations with identical LRU semantics:
-//
-//   * FlatLru — the replay data plane.  A slot array sized once at
-//     construction (the capacity is known up front), intrusive prev/next
-//     slot indices for the recency chain, and an open-addressed
-//     power-of-two hash index with linear probing and backward-shift
-//     deletion.  Zero allocations after construction; every operation is
-//     a single probe of one flat table (the evict path re-probes once for
-//     the insert position after the victim's backward-shift).  The
-//     combined access() resolves hit-touch / miss-insert / evict in one
-//     call, which is what sched/replay.cpp's hot loop uses.
-//
-//   * LruCache — the legacy node-based reference (std::list +
-//     std::unordered_map; 2–3 hash probes, a splice and a node allocation
-//     per miss).  Kept behind SimConfig::flat_lru = false so every
-//     deterministic replay metric can be RO_CHECK'd bit-identical
-//     flat-vs-legacy (tests/, bench_sim_micro), and as the oracle for the
-//     FlatLru property tests.
+// FlatLru is the replay data plane: a slot array sized once at
+// construction (the capacity is known up front), intrusive prev/next slot
+// indices for the recency chain, and an open-addressed power-of-two hash
+// index with linear probing and backward-shift deletion.  Zero
+// allocations after construction; every operation is a single probe of
+// one flat table (the evict path re-probes once for the insert position
+// after the victim's backward-shift).  The combined access() resolves
+// hit-touch / miss-insert / evict in one call, which is what
+// sched/replay.cpp's hot loop uses.  tests/test_cachesim.cpp checks it
+// against a node-based reference LRU.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ro/util/check.h"
@@ -208,66 +198,6 @@ class FlatLru {
   uint32_t mask_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> idx_;  // table position -> slot index or kNil
-};
-
-/// Legacy node-based LRU (std::list + std::unordered_map) — the reference
-/// model and the SimConfig::flat_lru = false replay path.
-class LruCache {
- public:
-  explicit LruCache(uint32_t lines = 1) : capacity_(lines) {
-    RO_CHECK_MSG(lines >= 1, "cache must hold at least one block");
-  }
-
-  bool contains(uint64_t block) const { return map_.count(block) > 0; }
-
-  /// Combined op with semantics identical to FlatLru::access.
-  CacheAccess access(uint64_t block) {
-    if (contains(block)) {
-      touch(block);
-      return CacheAccess{true, false, 0};
-    }
-    const std::optional<uint64_t> victim = insert(block);
-    return CacheAccess{false, victim.has_value(), victim.value_or(0)};
-  }
-
-  /// Marks `block` most-recently-used; no-op if absent.
-  void touch(uint64_t block) {
-    auto it = map_.find(block);
-    if (it == map_.end()) return;
-    lru_.splice(lru_.begin(), lru_, it->second);
-  }
-
-  /// Inserts `block` (must be absent); returns the evicted block, if any.
-  std::optional<uint64_t> insert(uint64_t block) {
-    RO_DCHECK(!contains(block));
-    std::optional<uint64_t> victim;
-    if (map_.size() >= capacity_) {
-      victim = lru_.back();
-      map_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    lru_.push_front(block);
-    map_[block] = lru_.begin();
-    return victim;
-  }
-
-  /// Removes `block` if present (coherence invalidation); returns whether it
-  /// was present.
-  bool invalidate(uint64_t block) {
-    auto it = map_.find(block);
-    if (it == map_.end()) return false;
-    lru_.erase(it->second);
-    map_.erase(it);
-    return true;
-  }
-
-  size_t size() const { return map_.size(); }
-  uint32_t capacity() const { return capacity_; }
-
- private:
-  uint32_t capacity_;
-  std::list<uint64_t> lru_;  // front = MRU
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
 };
 
 }  // namespace ro

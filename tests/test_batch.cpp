@@ -1,7 +1,7 @@
 // Sharded record/replay pipeline tests: shard address disjointness at the
 // context level, concurrent-vs-sequential recording equality, merged-graph
 // structure, parallel-replay metrics determinism (--replay-threads), and
-// the Engine::run_batch BatchReport.
+// the batch-job BatchReport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,55 +262,192 @@ TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
   }
 }
 
-TEST(Batch, FlatAndLegacyDataPlanesAreBitIdentical) {
-  // The flat-LRU acceptance criterion (docs/perf.md): SimConfig::flat_lru
-  // selects a host implementation, never a machine — Metrics must be
-  // bit-identical flat-vs-legacy on every workload, scheduler, host
-  // thread count, and on machines exercising the §5.1 write-hold and the
-  // §5.2 partitioned-L2 paths (whose discrete cache-op order the flat
-  // plane must reproduce exactly).
+/// FNV-1a over every Metrics field in declaration order: one number that
+/// changes when any per-core counter, the makespan, a steal-priority
+/// count, a transfer statistic or the stack high-water changes.
+uint64_t metrics_fingerprint(const Metrics& m) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(m.core.size());
+  for (const CoreMetrics& c : m.core) {
+    mix(c.compute);
+    for (const auto& row : c.miss) {
+      for (const uint64_t x : row) mix(x);
+    }
+    mix(c.steals);
+    mix(c.steal_attempts);
+    mix(c.usurpations);
+    mix(c.idle);
+    mix(c.steal_cycles);
+    mix(c.finish);
+    mix(c.l2_hits);
+    mix(c.hold_waits);
+  }
+  mix(m.makespan);
+  mix(m.steals_per_priority.size());
+  for (const auto& [depth, steals] : m.steals_per_priority) {
+    mix(depth);
+    mix(steals);
+  }
+  mix(m.max_block_transfers);
+  mix(m.total_block_transfers);
+  mix(m.stack_words);
+  return h;
+}
+
+struct Golden {
+  const char* workload;  // route / listrank / spms, or the merged batch
+  SchedKind kind;
+  const char* machine;   // plain / write_hold / l2 / l2x16
+  uint64_t makespan, cache_misses, block_misses, l2_hits, hold_waits;
+  uint64_t fingerprint;  // metrics_fingerprint
+};
+
+// Frozen from the node-based reference data plane (std::list +
+// std::unordered_map LRU) before it was retired; that plane and FlatLru
+// agreed bit for bit on every row.  They are the only exact pins of the
+// §5.1 write-hold protocol (hold_waits > 0) and of the §5.2 partitioned-L2
+// op order (l2_hits > 0, on p = 1 at M2 = 4M and on p = 4 at M2 = 16M).
+constexpr Golden kGoldens[] = {
+    {"route", SchedKind::kSeq, "plain", 15955, 102, 0, 0, 0,
+     0xb0f5f9f287790f7full},
+    {"listrank", SchedKind::kSeq, "plain", 354100, 2600, 0, 0, 0,
+     0x96739ed7c391304aull},
+    {"spms", SchedKind::kSeq, "plain", 28027, 294, 0, 0, 0,
+     0xc0a2137fd6f5cb7cull},
+    {"route", SchedKind::kPws, "plain", 14071, 531, 166, 0, 0,
+     0x989ad9eaa3d55342ull},
+    {"listrank", SchedKind::kPws, "plain", 425617, 15161, 6935, 0, 0,
+     0xeac3b3484b3d3701ull},
+    {"spms", SchedKind::kPws, "plain", 13755, 601, 63, 0, 0,
+     0xefb30510e74da3b5ull},
+    {"route", SchedKind::kRws, "plain", 12951, 458, 100, 0, 0,
+     0x9d971ed446391f89ull},
+    {"listrank", SchedKind::kRws, "plain", 419645, 12970, 4332, 0, 0,
+     0xcd87fd1b94c33563ull},
+    {"spms", SchedKind::kRws, "plain", 14013, 609, 68, 0, 0,
+     0x0b9c50e2864514afull},
+    {"route", SchedKind::kSeq, "write_hold", 15955, 102, 0, 0, 0,
+     0xb0f5f9f287790f7full},
+    {"listrank", SchedKind::kSeq, "write_hold", 354100, 2600, 0, 0, 0,
+     0x96739ed7c391304aull},
+    {"spms", SchedKind::kSeq, "write_hold", 28027, 294, 0, 0, 0,
+     0xc0a2137fd6f5cb7cull},
+    {"route", SchedKind::kPws, "write_hold", 13636, 539, 84, 0, 1813,
+     0x8dd7420706dbed7full},
+    {"listrank", SchedKind::kPws, "write_hold", 421267, 15275, 3896, 0, 64044,
+     0x8abdb0c6be3ed742ull},
+    {"spms", SchedKind::kPws, "write_hold", 13960, 623, 43, 0, 510,
+     0x73cd3c7a4ec2b7ceull},
+    {"route", SchedKind::kRws, "write_hold", 12062, 431, 51, 0, 811,
+     0xd686aa89f3e09bf6ull},
+    {"listrank", SchedKind::kRws, "write_hold", 421721, 12888, 2681, 0, 35902,
+     0x0c3fbe084ec5aa37ull},
+    {"spms", SchedKind::kRws, "write_hold", 15247, 621, 56, 0, 566,
+     0x0bdad6989f397601ull},
+    {"route", SchedKind::kSeq, "l2", 15955, 102, 0, 0, 0,
+     0xb0f5f9f287790f7full},
+    {"listrank", SchedKind::kSeq, "l2", 343684, 2618, 0, 458, 0,
+     0x11665723d5f8a7a1ull},
+    {"spms", SchedKind::kSeq, "l2", 25987, 294, 0, 85, 0,
+     0x079080bf59d4fee9ull},
+    {"route", SchedKind::kPws, "l2", 14071, 531, 166, 0, 0,
+     0x989ad9eaa3d55342ull},
+    {"listrank", SchedKind::kPws, "l2", 431289, 15301, 7027, 0, 0,
+     0x4b2b26df49648e1bull},
+    {"spms", SchedKind::kPws, "l2", 13574, 600, 61, 0, 0,
+     0xada233d726ed1902ull},
+    {"route", SchedKind::kRws, "l2", 12951, 458, 100, 0, 0,
+     0x9d971ed446391f89ull},
+    {"listrank", SchedKind::kRws, "l2", 420964, 12994, 4513, 0, 0,
+     0x27231a7037bbd218ull},
+    {"spms", SchedKind::kRws, "l2", 14682, 601, 70, 0, 0,
+     0x6bd0ff44f2950941ull},
+    {"route", SchedKind::kSeq, "l2x16", 15955, 102, 0, 0, 0,
+     0xb0f5f9f287790f7full},
+    {"listrank", SchedKind::kSeq, "l2x16", 341364, 2604, 0, 536, 0,
+     0xf44457700b509360ull},
+    {"spms", SchedKind::kSeq, "l2x16", 25987, 294, 0, 85, 0,
+     0x079080bf59d4fee9ull},
+    {"route", SchedKind::kPws, "l2x16", 14071, 531, 166, 0, 0,
+     0x989ad9eaa3d55342ull},
+    {"listrank", SchedKind::kPws, "l2x16", 424567, 15068, 7004, 440, 0,
+     0x7318b08dc6f12a7full},
+    {"spms", SchedKind::kPws, "l2x16", 13703, 609, 60, 4, 0,
+     0xb84b0b872775d4c4ull},
+    {"route", SchedKind::kRws, "l2x16", 12951, 458, 100, 0, 0,
+     0x9d971ed446391f89ull},
+    {"listrank", SchedKind::kRws, "l2x16", 420105, 13054, 4410, 367, 0,
+     0x1a35380eb9bfa19dull},
+    {"spms", SchedKind::kRws, "l2x16", 14417, 611, 70, 3, 0,
+     0xd6b020016766089dull},
+    {"merged", SchedKind::kPws, "plain", 425617, 16293, 7164, 0, 0,
+     0x2c5cd423744fb058ull},
+    {"merged", SchedKind::kPws, "write_hold", 421267, 16437, 4023, 0, 66367,
+     0x8b130a4a24301098ull},
+    {"merged", SchedKind::kPws, "l2", 431289, 16432, 7254, 0, 0,
+     0x47003f2d1ae8d37full},
+    {"merged", SchedKind::kPws, "l2x16", 424567, 16208, 7230, 444, 0,
+     0x569973c695bae32eull},
+};
+
+TEST(Batch, ReplayMatchesFrozenGoldens) {
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
   parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
   parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
   parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2).graph);
-
-  std::vector<std::pair<const char*, SimConfig>> machines;
-  machines.emplace_back("plain", small_machine(1));
-  machines.emplace_back("threads2", small_machine(2));
-  SimConfig hold = small_machine(1);
-  hold.write_hold = 24;
-  machines.emplace_back("write_hold", hold);
-  SimConfig l2 = small_machine(1);
-  l2.M2 = l2.M * 4;
-  machines.emplace_back("l2", l2);
-
-  const auto both = [](SimConfig cfg, bool flat) {
-    cfg.flat_lru = flat;
+  const std::vector<std::string> names = {"route", "listrank", "spms"};
+  const auto machine = [](const std::string& name) {
+    SimConfig cfg = small_machine(1);
+    if (name == "write_hold") cfg.write_hold = 24;
+    if (name == "l2") cfg.M2 = cfg.M * 4;
+    if (name == "l2x16") cfg.M2 = cfg.M * 16;
     return cfg;
   };
-  for (const SchedKind kind :
-       {SchedKind::kSeq, SchedKind::kPws, SchedKind::kRws}) {
-    for (const auto& [mname, mcfg] : machines) {
-      for (const TaskGraph& g : parts) {
-        EXPECT_EQ(simulate(g, kind, both(mcfg, true)),
-                  simulate(g, kind, both(mcfg, false)))
-            << sched_name(kind) << " machine=" << mname;
-      }
+  const auto check = [](const Metrics& m, const Golden& gd,
+                        const std::string& where) {
+    EXPECT_EQ(m.makespan, gd.makespan) << where;
+    EXPECT_EQ(m.cache_misses(), gd.cache_misses) << where;
+    EXPECT_EQ(m.block_misses(), gd.block_misses) << where;
+    EXPECT_EQ(m.l2_hits(), gd.l2_hits) << where;
+    EXPECT_EQ(m.hold_waits(), gd.hold_waits) << where;
+    EXPECT_EQ(metrics_fingerprint(m), gd.fingerprint) << where;
+  };
+  std::vector<const Golden*> merged_rows;
+  for (const Golden& gd : kGoldens) {
+    const std::string where = std::string(gd.workload) + " " +
+                              sched_name(gd.kind) + " machine=" + gd.machine;
+    const auto it = std::find(names.begin(), names.end(), gd.workload);
+    if (it == names.end()) {
+      merged_rows.push_back(&gd);
+      continue;
     }
+    const TaskGraph& g = parts[static_cast<size_t>(it - names.begin())];
+    check(simulate(g, gd.kind, machine(gd.machine)), gd, where);
   }
+  ASSERT_EQ(merged_rows.size(), 4u);
   const TaskGraph merged = merge_shards(std::move(parts));
-  for (const auto& [mname, mcfg] : machines) {
-    EXPECT_EQ(simulate(merged, SchedKind::kPws, both(mcfg, true)),
-              simulate(merged, SchedKind::kPws, both(mcfg, false)))
-        << "merged machine=" << mname;
+  for (const Golden* gd : merged_rows) {
+    for (const uint32_t threads : {1u, 2u}) {
+      SimConfig cfg = machine(gd->machine);
+      cfg.replay_threads = threads;
+      check(simulate(merged, gd->kind, cfg), *gd,
+            std::string("merged machine=") + gd->machine +
+                " threads=" + std::to_string(threads));
+    }
   }
 }
 
 TEST(Batch, RunBatchReportShape) {
   const size_t n = 128;
-  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
+  std::vector<AnyProg> progs;
   progs.emplace_back(prog_route(n));
   progs.emplace_back(prog_listrank(n));
   progs.emplace_back(prog_spms(2 * n));
@@ -319,7 +456,13 @@ TEST(Batch, RunBatchReportShape) {
   opt.backend = Backend::kSimPws;
   opt.label = "batch3";
   opt.sim = small_machine(2);
-  const BatchReport br = testing::engine().run_batch(progs, opt);
+  const JobResult br_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = opt},
+      progs);
+  ASSERT_TRUE(br_jr.ok()) << br_jr.error;
+  const BatchReport& br = br_jr.batch;
 
   EXPECT_EQ(br.shards, 3u);
   ASSERT_EQ(br.runs.size(), 3u);
@@ -340,10 +483,16 @@ TEST(Batch, RunBatchReportShape) {
   EXPECT_EQ(br.aggregate.q_seq, q);
   EXPECT_GE(br.wall_ms, 0.0);
 
-  // Determinism across the host-thread knob, end to end through run_batch.
+  // Determinism across the host-thread knob, end to end through submit.
   RunOptions opt1 = opt;
   opt1.sim.replay_threads = 1;
-  const BatchReport br1 = testing::engine().run_batch(progs, opt1);
+  const JobResult br1_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = opt1},
+      progs);
+  ASSERT_TRUE(br1_jr.ok()) << br1_jr.error;
+  const BatchReport& br1 = br1_jr.batch;
   ASSERT_EQ(br1.runs.size(), br.runs.size());
   for (size_t i = 0; i < br.runs.size(); ++i) {
     EXPECT_EQ(br1.runs[i].sim, br.runs[i].sim) << i;
@@ -359,12 +508,17 @@ TEST(Batch, RunBatchReportShape) {
 
 TEST(Batch, RunBatchSeqBackend) {
   const size_t n = 96;
-  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs(
-      2, prog_listrank(n));
+  std::vector<AnyProg> progs(2, prog_listrank(n));
   RunOptions opt;
   opt.backend = Backend::kSeq;
   opt.sim = small_machine(2);
-  const BatchReport br = testing::engine().run_batch(progs, opt);
+  const JobResult br_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = opt},
+      progs);
+  ASSERT_TRUE(br_jr.ok()) << br_jr.error;
+  const BatchReport& br = br_jr.batch;
   ASSERT_EQ(br.runs.size(), 2u);
   // Identical programs -> identical per-shard metrics, and the seq replay
   // is its own baseline.

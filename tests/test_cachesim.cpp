@@ -2,7 +2,10 @@
 // false-sharing dynamics of the replay engine on hand-crafted computations.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "ro/alg/scan.h"
 #include "ro/core/trace_ctx.h"
@@ -17,8 +20,60 @@ namespace {
 
 using alg::i64;
 
-// Both data planes (docs/perf.md) implement the same exact-LRU contract;
-// every directed cache test runs against each.
+/// Node-based reference LRU (std::list + std::unordered_map): the obviously
+/// correct oracle FlatLru is checked against.  Same interface as FlatLru.
+class LruCache {
+ public:
+  explicit LruCache(uint32_t lines = 1) : capacity_(lines) {}
+
+  bool contains(uint64_t block) const { return map_.count(block) > 0; }
+
+  CacheAccess access(uint64_t block) {
+    if (contains(block)) {
+      touch(block);
+      return CacheAccess{true, false, 0};
+    }
+    const std::optional<uint64_t> victim = insert(block);
+    return CacheAccess{false, victim.has_value(), victim.value_or(0)};
+  }
+
+  void touch(uint64_t block) {
+    auto it = map_.find(block);
+    if (it == map_.end()) return;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  }
+
+  std::optional<uint64_t> insert(uint64_t block) {
+    std::optional<uint64_t> victim;
+    if (map_.size() >= capacity_) {
+      victim = lru_.back();
+      map_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    lru_.push_front(block);
+    map_[block] = lru_.begin();
+    return victim;
+  }
+
+  bool invalidate(uint64_t block) {
+    auto it = map_.find(block);
+    if (it == map_.end()) return false;
+    lru_.erase(it->second);
+    map_.erase(it);
+    return true;
+  }
+
+  size_t size() const { return map_.size(); }
+
+ private:
+  uint32_t capacity_;
+  std::list<uint64_t> lru_;  // front = MRU
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
+};
+
+// FlatLru and the reference implement the same exact-LRU contract; every
+// directed cache test runs against each, so a wrong expectation here
+// cannot hide behind a matching FlatLru bug.
 template <class C>
 class LruImpl : public ::testing::Test {};
 using LruImpls = ::testing::Types<FlatLru, LruCache>;
@@ -99,7 +154,7 @@ TEST(FlatLru, CapacityOneChurn) {
   }
 }
 
-// Randomized property test: FlatLru against the legacy list+map cache as
+// Randomized property test: FlatLru against the list+map reference as
 // oracle, over op sequences mixing combined accesses, touches (present and
 // absent) and invalidations (MRU / LRU / middle / absent), at capacities
 // down to 1 and with enough universe pressure for sustained full-cache

@@ -151,27 +151,60 @@ TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
   }
 }
 
-TEST(ContentionProfile, FlatAndLegacyDataPlanesProfileIdentically) {
-  // The profile — like Metrics — must not see the cache implementation:
-  // last-touch attribution now lives in a flat open-addressed table, and
-  // the flat-vs-legacy cache swap must leave every recorded invalidation,
-  // coherence miss and transfer bit-identical on the packed-counter
-  // adversary (the doctor's diagnostic input).
+/// FNV-1a over every field of a profile, in map order.
+uint64_t profile_fingerprint(const ContentionProfile& p) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(p.lines().size());
+  for (const auto& [addr, line] : p.lines()) {
+    mix(addr);
+    mix(line.words.size());
+    for (const auto& [w, ws] : line.words) {
+      mix(w);
+      mix(ws.invalidations_caused);
+      mix(ws.invalidations_suffered);
+      mix(ws.coherence_misses);
+      mix(ws.tasks.size());
+      for (const auto& [act, events] : ws.tasks) {
+        mix(act);
+        mix(events);
+      }
+    }
+    mix(line.edges.size());
+    for (const auto& [edge, weight] : line.edges) {
+      mix(edge.first);
+      mix(edge.second);
+      mix(weight);
+    }
+    mix(line.false_events);
+    mix(line.true_events);
+    mix(line.transfers);
+  }
+  return h;
+}
+
+TEST(ContentionProfile, MatchesFrozenGoldenOnPackedCounters) {
+  // The profile — like Metrics — must not see the cache implementation.
+  // Frozen from the node-based reference data plane before it was
+  // retired (FlatLru agreed bit for bit): every recorded invalidation,
+  // coherence miss and transfer on the packed-counter adversary, the
+  // doctor's diagnostic input.
   const Recording rec = engine().record(prog_counters(8, 16, 1));
-  ContentionProfile flat, legacy;
-  {
-    SimConfig cfg = doctor_cfg();
-    cfg.profile = &flat;
-    engine().replay(rec, Backend::kSimPws, cfg, false);
-  }
-  {
-    SimConfig cfg = doctor_cfg();
-    cfg.flat_lru = false;
-    cfg.profile = &legacy;
-    engine().replay(rec, Backend::kSimPws, cfg, false);
-  }
-  ASSERT_FALSE(flat.empty());
-  EXPECT_EQ(flat, legacy);
+  ContentionProfile prof;
+  SimConfig cfg = doctor_cfg();
+  cfg.profile = &prof;
+  engine().replay(rec, Backend::kSimPws, cfg, false);
+  EXPECT_EQ(prof.lines().size(), 1u);
+  EXPECT_EQ(prof.false_events(), 122u);
+  EXPECT_EQ(prof.true_events(), 0u);
+  EXPECT_EQ(prof.total_transfers(), 122u);
+  EXPECT_EQ(prof.hot_lines(), 1u);
+  EXPECT_EQ(profile_fingerprint(prof), 0x459f7e257b328531ull);
 }
 
 TEST(ContentionProfile, DeterministicAcrossStreamWindows) {

@@ -39,7 +39,7 @@ void expect_parity(const char* label, MakeProg make) {
   std::vector<i64> golden;
   RunOptions opt;
   opt.backend = Backend::kSeq;
-  testing::engine().run(make(golden), opt);
+  ASSERT_TRUE(testing::engine().submit({.opt = opt}, make(golden)).ok());
   ASSERT_FALSE(golden.empty()) << label;
   for (Backend b : kNonSeqBackends) {
     std::vector<i64> out;
@@ -48,7 +48,9 @@ void expect_parity(const char* label, MakeProg make) {
     o.threads = backend_is_numa(b) ? 4 : 2;
     o.numa_groups = 2;    // forced topology: deterministic on any machine
     o.serial_below = 64;  // force real forking on the parallel backends
-    const RunReport r = testing::engine().run(make(out), o);
+    const JobResult r_jr = testing::engine().submit({.opt = o}, make(out));
+    ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+    const RunReport& r = r_jr.report;
     EXPECT_EQ(out, golden) << label << " under " << backend_name(b);
     EXPECT_EQ(r.has_sim, backend_is_sim(b));
     EXPECT_EQ(r.has_pool, backend_is_parallel(b));
@@ -145,7 +147,9 @@ TEST(Engine, RecordThenReplayMatchesRunReport) {
   RunOptions opt;
   opt.backend = Backend::kSimPws;
   opt.sim = cfg;
-  const RunReport b = eng.run(prog, opt);
+  const JobResult b_jr = eng.submit({.opt = opt}, prog);
+  ASSERT_TRUE(b_jr.ok()) << b_jr.error;
+  const RunReport& b = b_jr.report;
   // Recording is deterministic, PWS replay is deterministic: one-shot run
   // and record+replay must agree on every simulator observable.
   EXPECT_EQ(a.sim.makespan, b.sim.makespan);
@@ -183,7 +187,9 @@ TEST(Engine, ReportJsonCarriesBackendFields) {
   RunOptions opt;
   opt.label = "json \"probe\"";
   opt.backend = Backend::kSimPws;
-  const RunReport r = testing::engine().run(prog, opt);
+  const JobResult r_jr = testing::engine().submit({.opt = opt}, prog);
+  ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+  const RunReport& r = r_jr.report;
   const std::string j = r.to_json();
   EXPECT_NE(j.find("\"backend\":\"sim-pws\""), std::string::npos) << j;
   EXPECT_NE(j.find("\"label\":\"json \\\"probe\\\"\""), std::string::npos)
@@ -194,7 +200,9 @@ TEST(Engine, ReportJsonCarriesBackendFields) {
   RunOptions par;
   par.backend = Backend::kParPriority;
   par.threads = 2;
-  const RunReport rp = testing::engine().run(prog, par);
+  const JobResult rp_jr = testing::engine().submit({.opt = par}, prog);
+  ASSERT_TRUE(rp_jr.ok()) << rp_jr.error;
+  const RunReport& rp = rp_jr.report;
   const std::string jp = rp.to_json();
   EXPECT_NE(jp.find("\"threads\":2"), std::string::npos) << jp;
   EXPECT_NE(jp.find("\"pool_steals\":"), std::string::npos) << jp;
@@ -226,7 +234,9 @@ TEST(Engine, ReportJsonRoundTrips) {
   opt.sim.B = 16;
   opt.sim.M2 = 1 << 12;
   opt.sim.write_hold = 8;
-  const RunReport r = testing::engine().run(prog, opt);
+  const JobResult r_jr = testing::engine().submit({.opt = opt}, prog);
+  ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+  const RunReport& r = r_jr.report;
   ASSERT_GT(r.sim.steals(), 0u);
   const std::string j = r.to_json();
   RunReport back;
@@ -241,7 +251,9 @@ TEST(Engine, ReportJsonRoundTrips) {
   RunOptions par;
   par.backend = Backend::kParRandom;
   par.threads = 2;
-  const RunReport rp = testing::engine().run(prog, par);
+  const JobResult rp_jr = testing::engine().submit({.opt = par}, prog);
+  ASSERT_TRUE(rp_jr.ok()) << rp_jr.error;
+  const RunReport& rp = rp_jr.report;
   const std::string jp = rp.to_json();
   RunReport backp;
   ASSERT_TRUE(report_from_json(jp, backp)) << jp;
@@ -257,13 +269,14 @@ TEST(Engine, ReportJsonCarriesAuditedSimFields) {
   RunOptions opt;
   opt.backend = Backend::kSimPws;
   const size_t n = 256;
-  const RunReport r = testing::engine().run(
-      [n](auto& cx) {
+  const JobResult jr =
+      testing::engine().submit({.opt = opt}, [n](auto& cx) {
         auto a = cx.template alloc<i64>(n, "a");
         auto o = cx.template alloc<i64>(1, "o");
         cx.run(n, [&] { alg::msum(cx, a.slice(), o.slice()); });
-      },
-      opt);
+      });
+  ASSERT_TRUE(jr.ok()) << jr.error;
+  const RunReport& r = jr.report;
   const std::string j = r.to_json();
   for (const char* key :
        {"\"leaves\":", "\"compute\":", "\"steal_cycles\":", "\"l2_hits\":",
@@ -317,84 +330,61 @@ TEST(Engine, BackendNamesRoundTrip) {
   EXPECT_FALSE(parse_backend("warp-drive", out));
 }
 
+/// Submits the msum workload on a parallel backend and returns its report.
+RunReport run_par(Engine& eng, Backend b, unsigned threads,
+                  uint32_t groups = 0, double escape = 1.0 / 16) {
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.n = 1 << 10;
+  spec.opt.backend = b;
+  spec.opt.threads = threads;
+  spec.opt.numa_groups = groups;
+  spec.opt.numa_escape = escape;
+  const JobResult jr = eng.submit(spec);
+  EXPECT_TRUE(jr.ok()) << jr.error;
+  return jr.report;
+}
+
 TEST(Engine, PoolIsCachedPerPolicy) {
   Engine eng;
-  rt::Pool& a = eng.pool(rt::StealPolicy::kRandom, 2);
-  rt::Pool& b = eng.pool(rt::StealPolicy::kRandom, 2);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.threads(), 2u);
-  rt::Pool& c = eng.pool(rt::StealPolicy::kRandom);  // 0 = keep current
-  EXPECT_EQ(&a, &c);
-  rt::Pool& d = eng.pool(rt::StealPolicy::kPriority, 2);
-  EXPECT_NE(&a, &d);
-  EXPECT_EQ(d.policy(), rt::StealPolicy::kPriority);
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 2).threads, 2u);
+  EXPECT_EQ(eng.pools_created(), 1u);
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 2).threads, 2u);
+  EXPECT_EQ(eng.pools_created(), 1u);  // same config: the cached pool
+  EXPECT_EQ(run_par(eng, Backend::kParPriority, 2).threads, 2u);
+  EXPECT_EQ(eng.pools_created(), 2u);  // other policy: its own pool
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 3).threads, 3u);
+  EXPECT_EQ(eng.pools_created(), 3u);  // other size: its own pool
 }
 
 TEST(Engine, NumaPoolIsCachedPerConfig) {
   Engine eng;
-  rt::Pool& a = eng.numa_pool(rt::StealPolicy::kRandom, 4, 2);
-  EXPECT_EQ(a.threads(), 4u);
-  EXPECT_EQ(a.groups(), 2u);
-  rt::Pool& b = eng.numa_pool(rt::StealPolicy::kRandom, 4, 2);
-  EXPECT_EQ(&a, &b);  // same config: cached
-  rt::Pool& c = eng.numa_pool(rt::StealPolicy::kRandom, 4, 4);
-  EXPECT_EQ(c.groups(), 4u);  // group count change: recreated
-  rt::Pool& d = eng.numa_pool(rt::StealPolicy::kRandom, 4, 4, /*escape=*/0.5);
-  EXPECT_EQ(d.escape_prob(), 0.5);  // escape change: recreated
-  // The numa slots are independent of the flat ones.
-  rt::Pool& flat = eng.pool(rt::StealPolicy::kRandom, 4);
-  EXPECT_NE(&flat, &d);
-  EXPECT_EQ(flat.groups(), 1u);
+  const RunReport a = run_par(eng, Backend::kParNumaRandom, 4, 2);
+  EXPECT_EQ(a.threads, 4u);
+  EXPECT_EQ(a.pool_groups, 2u);
+  EXPECT_EQ(eng.pools_created(), 1u);
+  run_par(eng, Backend::kParNumaRandom, 4, 2);
+  EXPECT_EQ(eng.pools_created(), 1u);  // same config: cached
+  EXPECT_EQ(run_par(eng, Backend::kParNumaRandom, 4, 4).pool_groups, 4u);
+  EXPECT_EQ(eng.pools_created(), 2u);  // group count change: new pool
+  run_par(eng, Backend::kParNumaRandom, 4, 4, /*escape=*/0.5);
+  EXPECT_EQ(eng.pools_created(), 3u);  // escape change: new pool
+  // NUMA pools are keyed apart from the flat ones.
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 4).pool_groups, 1u);
+  EXPECT_EQ(eng.pools_created(), 4u);
 }
 
-TEST(Engine, RunShimIsBitIdenticalToSubmit) {
-  // run()/run_batch() are deprecated wrappers over submit(); the wrapper
-  // and the JobSpec path must produce the same deterministic report
-  // (everything but wall-clock), or a migration to submit() changes
-  // results behind callers' backs.
+TEST(Engine, ThreadsZeroMeansHardwareConcurrency) {
+  // threads = 0 is stateless: an earlier job's pool size never leaks into
+  // a later job (on ro-serve, one tenant's request into another's).
+  unsigned hw = std::thread::hardware_concurrency();
+  hw = hw == 0 ? 2 : std::min(hw, rt::kMaxPoolThreads);
   Engine eng;
-  RunOptions opt;
-  opt.backend = Backend::kSimPws;
-  opt.label = "shim";
-  const RunReport via_run = eng.run(make_workload("msum", 1 << 10, 0), opt);
-
-  JobSpec spec;
-  spec.workload = "msum";
-  spec.n = 1 << 10;
-  spec.opt = opt;
-  const JobResult via_submit = eng.submit(spec);
-  ASSERT_TRUE(via_submit.ok()) << via_submit.error;
-
-  std::string a = via_run.to_json();
-  std::string b = via_submit.report.to_json();
-  auto strip_wall = [](std::string& s) {
-    const size_t i = s.find("\"wall_ms\":");
-    ASSERT_NE(i, std::string::npos);
-    s.erase(i, s.find(',', i) + 1 - i);
-  };
-  strip_wall(a);
-  strip_wall(b);
-  EXPECT_EQ(a, b);
-
-  // Batch shards too: run_batch(progs) == submit(kBatch spec).
-  std::vector<AnyProg> progs;
-  for (uint64_t i = 0; i < 2; ++i)
-    progs.push_back(make_workload("msum", 1 << 10, i));
-  opt.label = "shim-batch";
-  const BatchReport via_batch = eng.run_batch(progs, opt);
-  JobSpec bspec;
-  bspec.kind = JobKind::kBatch;
-  bspec.workload = "msum";
-  bspec.n = 1 << 10;
-  bspec.shards = 2;
-  bspec.opt = opt;
-  const JobResult bjr = eng.submit(bspec);
-  ASSERT_TRUE(bjr.ok() && bjr.has_batch) << bjr.error;
-  std::string ba = via_batch.aggregate.to_json();
-  std::string bb = bjr.batch.aggregate.to_json();
-  strip_wall(ba);
-  strip_wall(bb);
-  EXPECT_EQ(ba, bb);
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 0).threads, hw);
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 2).threads, 2u);
+  EXPECT_EQ(run_par(eng, Backend::kParRandom, 0).threads, hw);
+  EXPECT_EQ(run_par(eng, Backend::kParNumaPriority, 2, 1).threads, 2u);
+  EXPECT_EQ(run_par(eng, Backend::kParNumaPriority, 0, 1).threads, hw);
 }
 
 TEST(Engine, SubmitRejectsBadSpecsInsteadOfAborting) {
@@ -518,7 +508,9 @@ TEST(Engine, NumaReportCarriesLocalityCounters) {
   opt.threads = 4;
   opt.numa_groups = 2;
   opt.serial_below = 64;
-  const RunReport r = testing::engine().run(prog, opt);
+  const JobResult r_jr = testing::engine().submit({.opt = opt}, prog);
+  ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+  const RunReport& r = r_jr.report;
   EXPECT_TRUE(r.has_pool);
   EXPECT_EQ(r.pool_groups, 2u);
   EXPECT_EQ(r.pool_local_steals + r.pool_remote_steals, r.pool_steals);
@@ -610,7 +602,7 @@ TEST(EngineNuma, GroupCountParityOnRouteListrankSpms) {
     std::vector<i64> golden;
     RunOptions seq;
     seq.backend = Backend::kSeq;
-    testing::engine().run(make(golden), seq);
+    ASSERT_TRUE(testing::engine().submit({.opt = seq}, make(golden)).ok());
     ASSERT_FALSE(golden.empty()) << label;
     for (Backend b : {Backend::kParNumaRandom, Backend::kParNumaPriority}) {
       for (uint32_t groups : {1u, 2u, 4u}) {
@@ -620,7 +612,9 @@ TEST(EngineNuma, GroupCountParityOnRouteListrankSpms) {
         o.threads = 4;
         o.numa_groups = groups;
         o.serial_below = 64;
-        const RunReport r = testing::engine().run(make(out), o);
+        const JobResult r_jr = testing::engine().submit({.opt = o}, make(out));
+        ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+        const RunReport& r = r_jr.report;
         EXPECT_EQ(out, golden)
             << label << " under " << backend_name(b) << " groups=" << groups;
         EXPECT_EQ(r.pool_groups, groups);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ro/serve/client.h"
@@ -181,19 +182,101 @@ TEST(JobSchema, NewerMinorWithUnknownKeysParses) {
   EXPECT_EQ(out.schema_version, "1.7");  // echoed, not rewritten
 }
 
-TEST(JobSchema, FlatLruKnobRoundTrips) {
-  // The data-plane selector rides the wire like any other sim knob, and
-  // its default (flat on) survives a spec that omits the key entirely.
-  JobSpec base;
-  base.workload = "msum";
-  base.opt.sim.flat_lru = false;
-  JobSpec out;
+TEST(JobSchema, RetiredFlatLruKeyIsIgnored) {
+  // "flat_lru" selected the retired node-based LRU data plane.  A schema
+  // 1.x spec still carrying it parses, drops it, and runs the same machine.
+  const std::string plain =
+      "{\"schema_version\":\"1.0\",\"workload\":\"msum\",\"n\":1024,"
+      "\"backend\":\"sim-pws\"}";
+  std::string keyed = plain;
+  keyed.insert(keyed.size() - 1, ",\"flat_lru\":0");
+  JobSpec a, b;
   std::string err;
-  ASSERT_TRUE(jobspec_from_json(base.to_json(), out, &err)) << err;
-  EXPECT_FALSE(out.opt.sim.flat_lru);
-  JobSpec dflt;
-  ASSERT_TRUE(jobspec_from_json("{\"workload\":\"msum\"}", dflt, &err)) << err;
-  EXPECT_TRUE(dflt.opt.sim.flat_lru);
+  ASSERT_TRUE(jobspec_from_json(plain, a, &err)) << err;
+  ASSERT_TRUE(jobspec_from_json(keyed, b, &err)) << err;
+  EXPECT_EQ(b.to_json(), a.to_json());
+  EXPECT_EQ(b.to_json().find("flat_lru"), std::string::npos);
+  const JobResult ja = ro::testing::engine().submit(a);
+  const JobResult jb = ro::testing::engine().submit(b);
+  ASSERT_TRUE(ja.ok()) << ja.error;
+  ASSERT_TRUE(jb.ok()) << jb.error;
+  EXPECT_EQ(jb.report.sim, ja.report.sim);
+  EXPECT_EQ(jb.report.q_seq, ja.report.q_seq);
+}
+
+TEST(JobSchema, ValuesAboveU32AreRejectedNamingTheKey) {
+  // A wrapped value would run a different machine and report ok:
+  // p = 2^32 + 1 as p = 1, B = 2^32 + 32 as B = 32.
+  const std::pair<std::string, std::string> cases[] = {
+      {"p", "4294967297"}, {"B", "4294967328"}};
+  for (const auto& [key, value] : cases) {
+    const std::string j =
+        "{\"workload\":\"msum\",\"" + key + "\":" + value + "}";
+    JobSpec out;
+    std::string err;
+    EXPECT_FALSE(jobspec_from_json(j, out, &err)) << j;
+    EXPECT_NE(err.find("\"" + key + "\""), std::string::npos) << err;
+  }
+  JobSpec out;
+  EXPECT_TRUE(jobspec_from_json("{\"p\":4294967295}", out));  // UINT32_MAX
+}
+
+// ---- wire inputs that used to abort the process ----
+
+/// Parses `json` as a wire spec, submits it, and expects a kError result
+/// whose reason names `field`.
+void expect_wire_error(const std::string& json, const std::string& field) {
+  JobSpec spec;
+  std::string err;
+  ASSERT_TRUE(jobspec_from_json(json, spec, &err)) << err;
+  const JobResult jr = ro::testing::engine().submit(spec);
+  EXPECT_EQ(jr.status, JobStatus::kError) << json;
+  EXPECT_NE(jr.error.find(field), std::string::npos) << jr.error;
+}
+
+TEST(WireInput, NumaEscapeAboveOneIsAnError) {
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"par-numa-random\","
+      "\"numa_escape\":7}",
+      "numa_escape");
+}
+
+TEST(WireInput, NumaEscapeBelowZeroIsAnError) {
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"par-numa-random\","
+      "\"numa_escape\":-0.5}",
+      "numa_escape");
+}
+
+TEST(WireInput, NumaEscapeNanIsAnError) {
+  JobSpec spec;
+  spec.workload = "msum";
+  spec.opt.backend = Backend::kParNumaRandom;
+  spec.opt.numa_escape = std::numeric_limits<double>::quiet_NaN();
+  const JobResult jr = ro::testing::engine().submit(spec);
+  EXPECT_EQ(jr.status, JobStatus::kError);
+  EXPECT_NE(jr.error.find("numa_escape"), std::string::npos) << jr.error;
+}
+
+TEST(WireInput, ThreadsAbovePoolLimitIsAnError) {
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"par-random\","
+      "\"threads\":1000}",
+      "threads");
+}
+
+TEST(WireInput, AlignWordsNotAPowerOfTwoIsAnError) {
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
+      "\"align_words\":3}",
+      "align_words");
+}
+
+TEST(WireInput, AlignWordsZeroIsAnError) {
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
+      "\"align_words\":0}",
+      "align_words");
 }
 
 TEST(JobSchema, NewerMajorIsRejectedWithReason) {

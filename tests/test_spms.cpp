@@ -121,7 +121,7 @@ TEST(SpmsEngineParity, AllBackendsProduceGoldenOutput) {
   std::vector<i64> golden;
   RunOptions opt;
   opt.backend = Backend::kSeq;
-  testing::engine().run(make(golden), opt);
+  ASSERT_TRUE(testing::engine().submit({.opt = opt}, make(golden)).ok());
   ASSERT_EQ(golden.size(), n);
   EXPECT_TRUE(std::is_sorted(golden.begin(), golden.end()));
   for (Backend b : kNonSeqBackends) {
@@ -130,7 +130,9 @@ TEST(SpmsEngineParity, AllBackendsProduceGoldenOutput) {
     o.backend = b;
     o.threads = 2;
     o.serial_below = 64;  // force real forking on the parallel backends
-    const RunReport r = testing::engine().run(make(out), o);
+    const JobResult r_jr = testing::engine().submit({.opt = o}, make(out));
+    ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+    const RunReport& r = r_jr.report;
     EXPECT_EQ(out, golden) << "spms under " << backend_name(b);
     EXPECT_EQ(r.has_sim, backend_is_sim(b));
     EXPECT_EQ(r.has_pool, backend_is_parallel(b));
@@ -164,7 +166,7 @@ TEST_P(SpmsAdversarial, AllBackendsSortWithDeterministicMetrics) {
   std::vector<i64> golden;
   RunOptions opt;
   opt.backend = Backend::kSeq;
-  testing::engine().run(make(golden), opt);
+  ASSERT_TRUE(testing::engine().submit({.opt = opt}, make(golden)).ok());
   EXPECT_EQ(golden, want) << "seq backend, pattern " << pattern;
 
   std::vector<GraphStats> recorded;
@@ -174,8 +176,12 @@ TEST_P(SpmsAdversarial, AllBackendsSortWithDeterministicMetrics) {
     o.backend = b;
     o.threads = 2;
     o.serial_below = 64;  // force real forking on the parallel backends
-    const RunReport r1 = testing::engine().run(make(out1), o);
-    const RunReport r2 = testing::engine().run(make(out2), o);
+    const JobResult r1_jr = testing::engine().submit({.opt = o}, make(out1));
+    ASSERT_TRUE(r1_jr.ok()) << r1_jr.error;
+    const RunReport& r1 = r1_jr.report;
+    const JobResult r2_jr = testing::engine().submit({.opt = o}, make(out2));
+    ASSERT_TRUE(r2_jr.ok()) << r2_jr.error;
+    const RunReport& r2 = r2_jr.report;
     EXPECT_EQ(out1, want) << backend_name(b) << ", pattern " << pattern;
     EXPECT_EQ(out2, want) << backend_name(b) << ", pattern " << pattern;
     if (backend_is_sim(b)) {
@@ -317,12 +323,17 @@ TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheRun) {
   };
   RunOptions base;
   base.backend = Backend::kSimPws;
-  const RunReport intl = testing::engine().run(prog, base);
+  const JobResult intl_jr = testing::engine().submit({.opt = base}, prog);
+  ASSERT_TRUE(intl_jr.ok()) << intl_jr.error;
+  const RunReport& intl = intl_jr.report;
   RunOptions override_opt = base;
   alg::SpmsTuning staged = before;
   staged.interleave = false;
   override_opt.spms = staged;
-  const RunReport stg = testing::engine().run(prog, override_opt);
+  const JobResult stg_jr =
+      testing::engine().submit({.opt = override_opt}, prog);
+  ASSERT_TRUE(stg_jr.ok()) << stg_jr.error;
+  const RunReport& stg = stg_jr.report;
   ASSERT_TRUE(intl.has_graph);
   ASSERT_TRUE(stg.has_graph);
   // The override took effect (the staged tree has the longer critical

@@ -475,30 +475,9 @@ TEST(StreamReplay, BitIdenticalAcrossWindowsAndThreads) {
   }
 }
 
-TEST(StreamReplay, FlatAndLegacyDataPlanesMatchOnStreamedTraces) {
-  // The flat-LRU exactness contract holds on the streamed representation
-  // too: the same trace through the chunked TraceStore at resident windows
-  // 1 / unbounded replays bit-identically under both data planes (the
-  // cursors feed the identical access sequence to either cache class).
-  const size_t n = 160;
-  Engine& eng = testing::engine();
-  const auto prog = prog_route(n);
-  for (const uint32_t window : {1u, 0u}) {
-    const Recording str = eng.record_stream(prog, tiny_stream(window));
-    for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-      SimConfig flat = stream_machine(2);
-      SimConfig legacy = flat;
-      legacy.flat_lru = false;
-      EXPECT_EQ(simulate(str.graph, kind, flat),
-                simulate(str.graph, kind, legacy))
-          << sched_name(kind) << " window=" << window;
-    }
-  }
-}
-
 TEST(StreamReplay, MergedBatchMatchesInMemoryBatch) {
   const size_t n = 128;
-  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
+  std::vector<AnyProg> progs;
   progs.emplace_back(prog_route(n));
   progs.emplace_back(prog_listrank(n));
   progs.emplace_back(prog_spms(2 * n));
@@ -507,11 +486,23 @@ TEST(StreamReplay, MergedBatchMatchesInMemoryBatch) {
   opt.backend = Backend::kSimPws;
   opt.label = "stream-batch";
   opt.sim = stream_machine(2);
-  const BatchReport mem = testing::engine().run_batch(progs, opt);
+  const JobResult mem_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = opt},
+      progs);
+  ASSERT_TRUE(mem_jr.ok()) << mem_jr.error;
+  const BatchReport& mem = mem_jr.batch;
 
   RunOptions sopt = opt;
   sopt.trace = tiny_stream(2);
-  const BatchReport str = testing::engine().run_batch(progs, sopt);
+  const JobResult str_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = sopt},
+      progs);
+  ASSERT_TRUE(str_jr.ok()) << str_jr.error;
+  const BatchReport& str = str_jr.batch;
 
   ASSERT_EQ(str.runs.size(), mem.runs.size());
   for (size_t i = 0; i < mem.runs.size(); ++i) {
@@ -535,11 +526,17 @@ TEST(Pipeline, EngineRunMatchesSerial) {
   opt.label = "pipe-run";
   opt.sim = stream_machine(2);
   opt.trace = tiny_stream(2);
-  const RunReport serial = testing::engine().run(prog_spms(n), opt);
+  const JobResult serial_jr =
+      testing::engine().submit({.opt = opt}, prog_spms(n));
+  ASSERT_TRUE(serial_jr.ok()) << serial_jr.error;
+  const RunReport& serial = serial_jr.report;
 
   RunOptions popt = opt;
   popt.pipeline = true;
-  const RunReport piped = testing::engine().run(prog_spms(n), popt);
+  const JobResult piped_jr =
+      testing::engine().submit({.opt = popt}, prog_spms(n));
+  ASSERT_TRUE(piped_jr.ok()) << piped_jr.error;
+  const RunReport& piped = piped_jr.report;
 
   // Pipelining is a scheduling change only: every observable of the
   // simulated machine and the recorded graph is bit-identical.
@@ -560,7 +557,7 @@ TEST(Pipeline, EngineRunMatchesSerial) {
 
 TEST(Pipeline, BatchBitIdenticalAcrossKindsAndThreads) {
   const size_t n = 128;
-  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
+  std::vector<AnyProg> progs;
   progs.emplace_back(prog_route(n));
   progs.emplace_back(prog_listrank(n));
   progs.emplace_back(prog_spms(2 * n));
@@ -571,14 +568,26 @@ TEST(Pipeline, BatchBitIdenticalAcrossKindsAndThreads) {
     opt.label = "pipe-batch";
     opt.sim = stream_machine(1);
     opt.trace = tiny_stream(2);
-    const BatchReport serial = testing::engine().run_batch(progs, opt);
+    const JobResult serial_jr = testing::engine().submit(
+        {.kind = JobKind::kBatch,
+         .shards = static_cast<uint32_t>(progs.size()),
+         .opt = opt},
+        progs);
+    ASSERT_TRUE(serial_jr.ok()) << serial_jr.error;
+    const BatchReport& serial = serial_jr.batch;
     ASSERT_FALSE(serial.pipelined);
 
     for (const uint32_t threads : {1u, 2u, 8u}) {
       RunOptions popt = opt;
       popt.pipeline = true;
       popt.sim.replay_threads = threads;
-      const BatchReport piped = testing::engine().run_batch(progs, popt);
+      const JobResult piped_jr = testing::engine().submit(
+          {.kind = JobKind::kBatch,
+           .shards = static_cast<uint32_t>(progs.size()),
+           .opt = popt},
+          progs);
+      ASSERT_TRUE(piped_jr.ok()) << piped_jr.error;
+      const BatchReport& piped = piped_jr.batch;
       const std::string what =
           std::string(backend == Backend::kSimPws ? "pws" : "rws") +
           " threads=" + std::to_string(threads);
@@ -617,7 +626,7 @@ TEST(Pipeline, BatchWithoutTraceStoreStillMatches) {
   // pipeline=true with in-memory recording (no segment store): the
   // per-shard chains still run, just without spill write-behind.
   const size_t n = 96;
-  std::vector<std::function<void(detail::EngineCtx<TraceCtx>&)>> progs;
+  std::vector<AnyProg> progs;
   progs.emplace_back(prog_route(n));
   progs.emplace_back(prog_listrank(n));
 
@@ -625,10 +634,22 @@ TEST(Pipeline, BatchWithoutTraceStoreStillMatches) {
   opt.backend = Backend::kSimPws;
   opt.label = "pipe-mem";
   opt.sim = stream_machine(2);
-  const BatchReport serial = testing::engine().run_batch(progs, opt);
+  const JobResult serial_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = opt},
+      progs);
+  ASSERT_TRUE(serial_jr.ok()) << serial_jr.error;
+  const BatchReport& serial = serial_jr.batch;
   RunOptions popt = opt;
   popt.pipeline = true;
-  const BatchReport piped = testing::engine().run_batch(progs, popt);
+  const JobResult piped_jr = testing::engine().submit(
+      {.kind = JobKind::kBatch,
+       .shards = static_cast<uint32_t>(progs.size()),
+       .opt = popt},
+      progs);
+  ASSERT_TRUE(piped_jr.ok()) << piped_jr.error;
+  const BatchReport& piped = piped_jr.batch;
   ASSERT_EQ(piped.runs.size(), serial.runs.size());
   for (size_t i = 0; i < serial.runs.size(); ++i) {
     EXPECT_EQ(piped.runs[i].sim, serial.runs[i].sim) << "shard " << i;
@@ -647,7 +668,9 @@ TEST(StreamReport, EngineRunReportsStoreStats) {
   opt.label = "stream";
   opt.sim = stream_machine(1);
   opt.trace = tiny_stream(1);
-  const RunReport r = testing::engine().run(prog_route(n), opt);
+  const JobResult r_jr = testing::engine().submit({.opt = opt}, prog_route(n));
+  ASSERT_TRUE(r_jr.ok()) << r_jr.error;
+  const RunReport& r = r_jr.report;
   ASSERT_TRUE(r.has_stream);
   EXPECT_GT(r.trace_segments, 1u);
   EXPECT_GT(r.trace_spilled_bytes, 0u);

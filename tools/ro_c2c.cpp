@@ -70,8 +70,10 @@ uint64_t sim_block_transfers(Engine& eng, uint32_t k, uint64_t iters,
   opt.backend = Backend::kSimPws;
   opt.sim = c;
   opt.label = stride == 1 ? "c2c-packed" : "c2c-padded";
-  const RunReport r = eng.run(prog_counters(k, iters, stride), opt);
-  return r.sim.total_block_transfers;
+  const JobResult jr =
+      eng.submit({.opt = opt}, prog_counters(k, iters, stride));
+  RO_CHECK_MSG(jr.ok(), jr.error.c_str());
+  return jr.report.sim.total_block_transfers;
 }
 
 // ---- hardware half ----
