@@ -33,6 +33,7 @@
 #include "ro/core/probes.h"
 #include "ro/core/validate.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/fields.h"
 #include "ro/util/cli.h"
 #include "ro/util/rng.h"
 #include "ro/util/table.h"
@@ -125,37 +126,21 @@ inline void numa_from_cli(const Cli& cli, RunOptions& opt) {
 
 /// The shared SPMS tuning flags (`--spms-*`): every knob of
 /// alg::SpmsTuning is overridable from the command line so bench sweeps
-/// never need a recompile.  Only materializes RunOptions::spms when at
-/// least one flag is present, so the process default stays in charge
-/// otherwise.
+/// never need a recompile; each flag is its row's in spms_fields()
+/// (engine/fields.h).  Only materializes RunOptions::spms when at least
+/// one flag is present, so the process default stays in charge otherwise.
+/// A value that is not of its knob's type aborts naming the knob.
 inline void spms_from_cli(const Cli& cli, RunOptions& opt) {
-  const bool any =
-      cli.has("spms-merge-base") || cli.has("spms-merge2-min") ||
-      cli.has("spms-stride-mul") || cli.has("spms-seq-cap-div") ||
-      cli.has("spms-stride-per-seq") || cli.has("spms-ms-leaf") ||
-      cli.has("spms-sample-seq") || cli.has("spms-machinery-min") ||
-      cli.has("spms-interleave") || cli.has("spms-kernels");
-  if (!any) return;
   alg::SpmsTuning t = alg::spms_tuning();
-  t.merge_base = static_cast<size_t>(
-      cli.get_int("spms-merge-base", static_cast<int64_t>(t.merge_base)));
-  t.merge2_min = static_cast<size_t>(
-      cli.get_int("spms-merge2-min", static_cast<int64_t>(t.merge2_min)));
-  t.stride_mul = static_cast<size_t>(
-      cli.get_int("spms-stride-mul", static_cast<int64_t>(t.stride_mul)));
-  t.seq_cap_div = static_cast<size_t>(
-      cli.get_int("spms-seq-cap-div", static_cast<int64_t>(t.seq_cap_div)));
-  t.stride_per_seq = static_cast<size_t>(cli.get_int(
-      "spms-stride-per-seq", static_cast<int64_t>(t.stride_per_seq)));
-  t.multisearch_leaf = static_cast<size_t>(
-      cli.get_int("spms-ms-leaf", static_cast<int64_t>(t.multisearch_leaf)));
-  t.sample_sort_seq = static_cast<size_t>(
-      cli.get_int("spms-sample-seq", static_cast<int64_t>(t.sample_sort_seq)));
-  t.machinery_min = static_cast<size_t>(
-      cli.get_int("spms-machinery-min", static_cast<int64_t>(t.machinery_min)));
-  t.interleave = cli.get_int("spms-interleave", t.interleave ? 1 : 0) != 0;
-  t.kernels = cli.get_int("spms-kernels", t.kernels ? 1 : 0) != 0;
-  opt.spms = t;
+  bool any = false;
+  for (const Field<alg::SpmsTuning>& f : spms_fields()) {
+    if (!cli.has(f.flag)) continue;
+    std::string err;
+    RO_CHECK_MSG(read_field(f, cli.get_str(f.flag, ""), f.at(t), &err),
+                 err.c_str());
+    any = true;
+  }
+  if (any) opt.spms = t;
 }
 
 /// Installs `t` as the process-default SpmsTuning for its lifetime —

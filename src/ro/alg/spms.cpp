@@ -1,5 +1,7 @@
 #include "ro/alg/spms.h"
 
+#include "ro/engine/fields.h"
+
 namespace ro::alg {
 
 bool parse_sort_kind(const std::string& name, SortKind& out) {
@@ -32,14 +34,9 @@ SpmsTuning g_spms_tuning;
 const SpmsTuning& spms_tuning() { return g_spms_tuning; }
 
 void set_spms_tuning(const SpmsTuning& t) {
-  RO_CHECK_MSG(t.merge_base >= 2, "SpmsTuning: merge_base must be >= 2");
-  RO_CHECK_MSG(t.merge2_min >= 2, "SpmsTuning: merge2_min must be >= 2");
-  RO_CHECK_MSG(t.stride_mul >= 1, "SpmsTuning: stride_mul must be >= 1");
-  RO_CHECK_MSG(t.seq_cap_div >= 1, "SpmsTuning: seq_cap_div must be >= 1");
-  RO_CHECK_MSG(t.stride_per_seq >= 1,
-               "SpmsTuning: stride_per_seq must be >= 1");
-  RO_CHECK_MSG(t.multisearch_leaf >= 2,
-               "SpmsTuning: multisearch_leaf must be >= 2");
+  // The minimums live in the SPMS field table (engine/fields.h).
+  std::string why;
+  RO_CHECK_MSG(check_fields(spms_fields(), t, &why), why.c_str());
   g_spms_tuning = t;
 }
 

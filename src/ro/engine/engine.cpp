@@ -1,14 +1,13 @@
 #include "ro/engine/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 
+#include "ro/engine/fields.h"
 #include "ro/engine/workloads.h"
 #include "ro/rt/numa.h"
 #include "ro/sched/run.h"
 #include "ro/sim/contention.h"
-#include "ro/util/bits.h"
 
 namespace ro {
 
@@ -523,66 +522,21 @@ JobResult& fail(JobResult& jr, const std::string& why) {
 
 /// Spec-level validation that must not abort: submit is the wire-facing
 /// entry point, so everything a remote caller can get wrong becomes a
-/// kError result.  Mirrors set_spms_tuning's RO_CHECK invariants so a bad
-/// tuning is refused here instead of aborting inside the gate.
-bool check_spec(const JobSpec& spec, JobResult& jr) {
-  if (!spec.schema_version.empty()) {
-    char* end = nullptr;
-    const unsigned long major =
-        std::strtoul(spec.schema_version.c_str(), &end, 10);
-    if (end == spec.schema_version.c_str() || *end != '.') {
-      fail(jr, "unparsable schema_version \"" + spec.schema_version + "\"");
-      return false;
-    }
-    if (major > kJobSchemaMajor) {
-      fail(jr, "schema_version " + spec.schema_version +
-                   " is newer than supported " + job_schema_version());
-      return false;
-    }
-  }
-  if (spec.opt.sim.p < 1 || spec.opt.sim.p > 64) {
-    fail(jr, "sim p must be in [1, 64]");
-    return false;
-  }
-  if (spec.opt.sim.B == 0 || spec.opt.sim.M / spec.opt.sim.B < 1) {
-    fail(jr, "sim cache must hold >= 1 block");
-    return false;
-  }
-  if (!is_pow2(spec.opt.align_words)) {
-    fail(jr, "align_words must be a power of two");
-    return false;
-  }
-  if (spec.opt.threads > rt::kMaxPoolThreads) {
-    fail(jr, "threads must be <= " + std::to_string(rt::kMaxPoolThreads) +
-                 " (0 = hardware concurrency)");
-    return false;
-  }
-  // Negated so NaN fails too.
-  if (!(spec.opt.numa_escape >= 0.0 && spec.opt.numa_escape <= 1.0)) {
-    fail(jr, "numa_escape must be a probability in [0, 1]");
-    return false;
-  }
-  if (spec.opt.spms.has_value()) {
-    const alg::SpmsTuning& t = *spec.opt.spms;
-    if (t.merge_base < 2 || t.merge2_min < 2 || t.stride_mul < 1 ||
-        t.seq_cap_div < 1 || t.stride_per_seq < 1 || t.multisearch_leaf < 2) {
-      fail(jr, "spms tuning violates its invariants (see alg/spms.h)");
-      return false;
-    }
-  }
-  if (spec.kind == JobKind::kDiagnose && !backend_is_sim(spec.opt.backend)) {
-    fail(jr, "diagnose jobs replay a trace; use sim-pws / sim-rws");
-    return false;
-  }
-  if (spec.kind == JobKind::kBatch && backend_is_parallel(spec.opt.backend)) {
-    fail(jr, "batch jobs replay traces; use a seq/sim backend");
-    return false;
-  }
-  if (spec.opt.capacity_shared && spec.kind != JobKind::kBatch) {
-    fail(jr, "capacity_shared is a batch-job mode");
-    return false;
-  }
-  return true;
+/// kError result.  Single-field ranges come from the field table
+/// (engine/fields.h); the rules here relate fields to each other.
+/// Returns the reason, or "" for a valid spec.
+std::string spec_error(const JobSpec& spec) {
+  std::string why;
+  if (!check_fields(jobspec_fields(), spec, &why)) return why;
+  if (spec.opt.sim.M / spec.opt.sim.B < 1)
+    return "sim cache must hold >= 1 block";
+  if (spec.kind == JobKind::kDiagnose && !backend_is_sim(spec.opt.backend))
+    return "diagnose jobs replay a trace; use sim-pws / sim-rws";
+  if (spec.kind == JobKind::kBatch && backend_is_parallel(spec.opt.backend))
+    return "batch jobs replay traces; use a seq/sim backend";
+  if (spec.opt.capacity_shared && spec.kind != JobKind::kBatch)
+    return "capacity_shared is a batch-job mode";
+  return "";
 }
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -721,46 +675,34 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
 }
 
 JobResult Engine::submit(const JobSpec& spec) {
-  if (spec.kind == JobKind::kBatch) {
-    const uint32_t shards = spec.shards == 0 ? 1 : spec.shards;
-    std::vector<AnyProg> progs;
-    progs.reserve(shards);
-    for (uint32_t i = 0; i < shards; ++i) {
-      // Per-shard seed salt: tenants of a batch run distinct-but-
-      // deterministic inputs of the same workload.
+  // Validate before building programs: a wire-sized n or shard count must
+  // be refused here, not inside the workloads' allocations.
+  std::string why = spec_error(spec);
+  std::vector<AnyProg> progs;
+  if (why.empty()) {
+    const bool batch = spec.kind == JobKind::kBatch;
+    const uint32_t shards = batch ? std::max(spec.shards, 1u) : 1;
+    // Per-shard seed salt: tenants of a batch run distinct-but-
+    // deterministic inputs of the same workload.
+    for (uint32_t i = 0; i < shards; ++i)
       progs.push_back(make_workload(spec.workload, spec.n, spec.seed + i));
-    }
-    if (!progs[0]) {
-      JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-      fail(jr, "unknown workload \"" + spec.workload + "\"");
-      return jr;
-    }
-    return submit(spec, progs);
+    if (progs[0]) return batch ? submit(spec, progs) : submit(spec, progs[0]);
+    why = "unknown workload \"" + spec.workload + "\"";
   }
-  const AnyProg prog = make_workload(spec.workload, spec.n, spec.seed);
-  if (!prog) {
-    JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-    fail(jr, "unknown workload \"" + spec.workload + "\"");
-    return jr;
-  }
-  return submit(spec, prog);
+  JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
+  return fail(jr, why);
 }
 
 JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
   JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-  if (!check_spec(spec, jr)) return jr;
-  if (spec.kind == JobKind::kBatch) {
-    fail(jr, "batch jobs take one program per shard");
-    return jr;
-  }
-  if (!prog) {
-    fail(jr, "empty program");
-    return jr;
-  }
+  if (const std::string why = spec_error(spec); !why.empty())
+    return fail(jr, why);
+  if (spec.kind == JobKind::kBatch)
+    return fail(jr, "batch jobs take one program per shard");
+  if (!prog) return fail(jr, "empty program");
   if (!prog.supports(spec.opt.backend)) {
-    fail(jr, std::string("program does not support backend ") +
-                 backend_name(spec.opt.backend));
-    return jr;
+    return fail(jr, std::string("program does not support backend ") +
+                        backend_name(spec.opt.backend));
   }
   const auto t0 = std::chrono::steady_clock::now();
   const detail::TuningGate::Lease gate = tuning_gate_.enter(spec.opt.spms);
@@ -782,20 +724,16 @@ JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
 JobResult Engine::submit(const JobSpec& spec,
                          const std::vector<AnyProg>& progs) {
   JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-  if (!check_spec(spec, jr)) return jr;
+  if (const std::string why = spec_error(spec); !why.empty())
+    return fail(jr, why);
   if (spec.kind != JobKind::kBatch) {
-    fail(jr, "a program vector makes a batch job; set kind to \"batch\"");
-    return jr;
+    return fail(jr,
+                "a program vector makes a batch job; set kind to \"batch\"");
   }
-  if (progs.empty()) {
-    fail(jr, "batch jobs need at least one program");
-    return jr;
-  }
+  if (progs.empty()) return fail(jr, "batch jobs need at least one program");
   for (const AnyProg& p : progs) {
-    if (!p.supports(Backend::kSimPws)) {  // batches record through TraceCtx
-      fail(jr, "batch program cannot record (empty or non-trace)");
-      return jr;
-    }
+    if (!p.supports(Backend::kSimPws))  // batches record through TraceCtx
+      return fail(jr, "batch program cannot record (empty or non-trace)");
   }
   const auto t0 = std::chrono::steady_clock::now();
   const detail::TuningGate::Lease gate = tuning_gate_.enter(spec.opt.spms);

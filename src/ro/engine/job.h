@@ -30,6 +30,12 @@ inline constexpr uint32_t kJobSchemaMinor = 0;
 /// The version string this build writes ("1.0").
 std::string job_schema_version();
 
+/// True when `v` is "major.minor" with a major this build reads; otherwise
+/// false, with a one-line reason in `error` when non-null.  The one
+/// version parser: jobspec_from_json and Engine::submit both go through it
+/// (as the schema_version row's rule, engine/fields.h).
+bool check_schema_version(const std::string& v, std::string* error);
+
 enum class JobKind : uint8_t {
   kRun = 0,       // one program, one RunReport
   kBatch = 1,     // `shards` programs through the batch pipeline
@@ -55,14 +61,17 @@ struct JobSpec {
   RunOptions opt{};
   doctor::DoctorOptions doc{};  // diagnose jobs
 
-  /// Flat JSON object (nested "spms" tuning object when set).
+  /// Flat JSON object, one key per row of jobspec_fields() (engine/
+  /// fields.h); the "spms" tuning object only when set.
   std::string to_json() const;
 };
 
 /// Parses a JobSpec JSON object.  Unknown keys are skipped (newer minors
-/// stay readable); a schema_version with a newer *major* is rejected.
-/// Returns false on malformed JSON or a rejected version; when `error` is
-/// non-null it receives a one-line reason.
+/// stay readable); a schema_version with a newer *major* is rejected, and
+/// so is a value that is not entirely of its key's type.  Legal ranges are
+/// Engine::submit's to check.  Returns false on malformed JSON, a rejected
+/// version or a mistyped value; when `error` is non-null it receives a
+/// one-line reason naming the key.
 bool jobspec_from_json(const std::string& text, JobSpec& out,
                        std::string* error = nullptr);
 

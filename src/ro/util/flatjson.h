@@ -161,7 +161,11 @@ inline bool scan_object(const std::string& j,
     } else {
       const size_t v0 = i;
       while (i < j.size() && j[i] != ',' && j[i] != '}') ++i;
-      val = j.substr(v0, i - v0);
+      size_t v1 = i;  // the value ends before any whitespace
+      while (v1 > v0 && (j[v1 - 1] == ' ' || j[v1 - 1] == '\n' ||
+                         j[v1 - 1] == '\t' || j[v1 - 1] == '\r'))
+        --v1;
+      val = j.substr(v0, v1 - v0);
       if (val.empty()) return false;
     }
     kvs.emplace_back(std::move(key), std::move(val));

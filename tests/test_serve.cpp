@@ -7,13 +7,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "ro/engine/fields.h"
 #include "ro/serve/client.h"
 #include "ro/serve/server.h"
 #include "test_helpers.h"
@@ -221,6 +227,175 @@ TEST(JobSchema, ValuesAboveU32AreRejectedNamingTheKey) {
   EXPECT_TRUE(jobspec_from_json("{\"p\":4294967295}", out));  // UINT32_MAX
 }
 
+/// Expects `json` to fail parsing with a reason that names `key`.
+void expect_parse_error(const std::string& json, const std::string& key) {
+  JobSpec out;
+  std::string err;
+  EXPECT_FALSE(jobspec_from_json(json, out, &err)) << json;
+  EXPECT_NE(err.find("\"" + key + "\""), std::string::npos) << err;
+}
+
+TEST(JobSchema, MistypedValuesAreRejectedNamingTheKey) {
+  // Each used to run: "4x" as p = 4, 2.9 as p = 2, 1e3 as n = 1, "yes"
+  // as unpadded, -1 as seed = 2^64 - 1.
+  const std::pair<std::string, std::string> cases[] = {
+      {"p", "\"4x\""}, {"p", "2.9"},  {"n", "1e3"},
+      {"padded", "\"yes\""}, {"seed", "-1"}};
+  for (const auto& [key, value] : cases) {
+    expect_parse_error("{\"workload\":\"msum\",\"" + key + "\":" + value + "}",
+                       key);
+  }
+}
+
+TEST(JobSchema, DefaultSpecJsonIsByteIdenticalToSchema10) {
+  // Key order and spelling as every 1.0 reader and writer has them.
+  EXPECT_EQ(JobSpec{}.to_json(),
+            "{\"schema_version\":\"1.0\",\"tenant\":\"\",\"kind\":\"run\","
+            "\"workload\":\"\",\"n\":4096,\"seed\":0,\"shards\":1,"
+            "\"backend\":\"seq\",\"p\":4,\"M\":16384,\"B\":64,"
+            "\"miss_latency\":32,\"steal_latency\":0,\"sim_seed\":24301,"
+            "\"M2\":0,\"l2_latency\":8,\"write_hold\":0,"
+            "\"replay_threads\":1,\"padded\":0,\"align_words\":4096,"
+            "\"seq_baseline\":1,\"pipeline\":0,\"capacity_shared\":0,"
+            "\"segment_tasks\":0,\"max_resident_segments\":4,\"compress\":1,"
+            "\"threads\":0,\"serial_below\":4096,\"numa_groups\":0,"
+            "\"numa_escape\":0.0625,\"numa_pin\":0,\"doc_max_lines\":64,"
+            "\"doc_min_false_events\":1}");
+}
+
+// ---- the field tables (engine/fields.h) ----
+
+/// Sets the member to a value that differs from its current one and lies
+/// in the row's range: the range's top (or bottom, if already there),
+/// 1/3 for a double (no short decimal form), every knob of a nested
+/// tuning.
+void set_non_default(const FieldInfo& f, const FieldRef& r) {
+  std::visit(
+      [&](auto* p) {
+        using T = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          *p = !*p;
+        } else if constexpr (std::is_integral_v<T>) {
+          const T hi = f.hi == FieldInfo::kAny
+                           ? std::numeric_limits<T>::max()
+                           : static_cast<T>(f.hi);
+          *p = *p == hi ? static_cast<T>(f.lo) : hi;
+        } else if constexpr (std::is_same_v<T, double>) {
+          *p = f.lo + (f.hi - f.lo) / 3;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *p = f.rule == FieldRule::kVersion ? "1.7" : "a \"quoted\"\\ line\n";
+        } else if constexpr (std::is_same_v<T, JobKind>) {
+          *p = JobKind::kDiagnose;
+        } else if constexpr (std::is_same_v<T, JobStatus>) {
+          *p = JobStatus::kError;
+        } else if constexpr (std::is_same_v<T, Backend>) {
+          *p = Backend::kSimRws;
+        } else {
+          alg::SpmsTuning t;
+          for (const auto& g : spms_fields()) set_non_default(g, g.at(t));
+          *p = t;
+        }
+      },
+      r);
+}
+
+/// Raw JSON values the row must refuse: outside its range, or not
+/// entirely of its type.
+std::vector<std::string> bad_values(const FieldInfo& f, const FieldRef& r) {
+  return std::visit(
+      [&](auto* p) -> std::vector<std::string> {
+        using T = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return {"2", "-1", "1.0", "\"yes\"", "\"1x\""};
+        } else if constexpr (std::is_integral_v<T>) {
+          std::vector<std::string> v = {"-1", "2.9", "1e3", "\"4x\""};
+          if (f.lo > 0) v.push_back(std::to_string(uint64_t(f.lo) - 1));
+          if (f.hi != FieldInfo::kAny) {
+            v.push_back(std::to_string(uint64_t(f.hi) + 1));
+          } else {  // one past the member's type
+            v.push_back(sizeof(T) == 4 ? "4294967296" : "18446744073709551616");
+          }
+          if (f.rule == FieldRule::kPow2) {
+            v.push_back(std::to_string(2 * uint64_t(f.lo) + 1));
+          }
+          return v;
+        } else if constexpr (std::is_same_v<T, double>) {
+          return {std::to_string(f.lo - 0.5), std::to_string(f.hi + 0.5),
+                  "nan", "\"0.5x\""};
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          if (f.rule != FieldRule::kVersion) return {};  // free-form
+          return {"\"2.0\"", "\"1\"", "\"1.x\""};
+        } else if constexpr (std::is_enum_v<T>) {
+          return {"\"bogus\""};
+        } else {  // the nested tuning: each knob's bad values, one at a time
+          std::vector<std::string> v = {"\"not an object\""};
+          alg::SpmsTuning t;
+          for (const auto& g : spms_fields()) {
+            for (const std::string& b : bad_values(g, g.at(t)))
+              v.push_back("{\"" + std::string(g.key) + "\":" + b + "}");
+          }
+          return v;
+        }
+      },
+      r);
+}
+
+bool same_value(const FieldRef& a, const FieldRef& b) {
+  return std::visit([&](auto* x) { return *x == *std::get<decltype(x)>(b); },
+                    a);
+}
+
+/// `why` names `key` as "key" or, for a nested knob, "key.knob".
+bool names_key(const std::string& why, const std::string& key) {
+  return why.find("\"" + key + "\"") != std::string::npos ||
+         why.find("\"" + key + ".") != std::string::npos;
+}
+
+TEST(JobSchema, EveryFieldRoundTripsExactlyAndRefusesBadValuesNamingTheKey) {
+  for (const Field<JobSpec>& f : jobspec_fields()) {
+    SCOPED_TRACE(f.key);
+    JobSpec spec;
+    set_non_default(f, f.at(spec));
+    std::string err;
+    EXPECT_TRUE(check_field(f, f.at(spec), &err)) << err;
+    JobSpec back;
+    ASSERT_TRUE(jobspec_from_json(spec.to_json(), back, &err)) << err;
+    EXPECT_TRUE(same_value(f.at(spec), f.at(back))) << spec.to_json();
+    JobSpec defaults;
+    EXPECT_FALSE(same_value(f.at(spec), f.at(defaults)));
+
+    for (const std::string& bad : bad_values(f, f.at(spec))) {
+      const std::string json = "{\"" + std::string(f.key) + "\":" + bad + "}";
+      JobSpec out;
+      std::string why;
+      const bool refused = !jobspec_from_json(json, out, &why) ||
+                           !check_fields(jobspec_fields(), out, &why);
+      EXPECT_TRUE(refused) << json;
+      EXPECT_TRUE(names_key(why, f.key)) << json << " -> " << why;
+    }
+  }
+}
+
+TEST(JobSchema, DocsWireTableListsExactlyTheFieldTables) {
+  const auto doc = std::filesystem::path(__FILE__).parent_path().parent_path() /
+                   "docs" / "serve.md";
+  std::ifstream in(doc);
+  ASSERT_TRUE(in) << doc;
+  // The rows of the "## Wire fields" table start with "| `key` |".
+  std::set<std::string> documented;
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("## ")) in_section = line == "## Wire fields";
+    if (in_section && line.starts_with("| `"))
+      documented.insert(line.substr(3, line.find('`', 3) - 3));
+  }
+  std::set<std::string> fields;
+  for (const auto& f : jobspec_fields()) fields.insert(f.key);
+  for (const auto& f : spms_fields())
+    fields.insert("spms." + std::string(f.key));
+  EXPECT_EQ(documented, fields);
+}
+
 // ---- wire inputs that used to abort the process ----
 
 /// Parses `json` as a wire spec, submits it, and expects a kError result
@@ -277,6 +452,44 @@ TEST(WireInput, AlignWordsZeroIsAnError) {
       "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
       "\"align_words\":0}",
       "align_words");
+}
+
+TEST(WireInput, NegativeCacheSizeIsAParseError) {
+  // Wrapped to M = 2^64 - 1: the replay's LRU slots threw bad_alloc.
+  expect_parse_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\",\"M\":-1}", "M");
+}
+
+TEST(WireInput, WorkloadSizeAboveTheCapIsAnError) {
+  // The workload's 2^40-word input threw bad_alloc.
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
+      "\"n\":1099511627776}",
+      "\"n\"");
+}
+
+TEST(WireInput, BatchReplayThreadsAbovePoolLimitIsAnError) {
+  // 300 shards with 300 replay threads asked rt::Pool for 300 workers.
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\",\"kind\":\"batch\","
+      "\"shards\":300,\"replay_threads\":300}",
+      "replay_threads");
+}
+
+TEST(WireInput, AlignWordsBeyondTheShardSpanIsAnError) {
+  // A 2^40-word alignment overflowed the shard's VSpace range.
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
+      "\"align_words\":1099511627776}",
+      "align_words");
+}
+
+TEST(WireInput, SegmentTasksAboveTheCapIsAnError) {
+  // The recorder reserved 2^60 records for its first segment.
+  expect_wire_error(
+      "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
+      "\"segment_tasks\":1152921504606846976}",
+      "segment_tasks");
 }
 
 TEST(JobSchema, NewerMajorIsRejectedWithReason) {

@@ -6,13 +6,14 @@
 //       Runs the daemon in the foreground until a client sends the
 //       shutdown op (or the process gets SIGINT/SIGTERM).
 //
-//   ro-serve submit   --socket=PATH --workload=NAME [--n=N --seed=S]
-//                     [--kind=run|batch|diagnose --shards=K]
-//                     [--tenant=ID --tag=TEXT --backend=B --label=L]
-//                     [--p --M --B --seq-baseline=0|1 --capacity-shared]
+//   ro-serve submit   --socket=PATH [--workload=NAME --n=N --kind=K ...]
 //                     [--spec=JSON | --spec-file=FILE]
 //       Builds a JobSpec from flags (or takes one verbatim), submits it,
-//       prints the JobResult JSON line, exits 0 iff status is "ok".
+//       prints the JobResult JSON line, exits 0 iff status is "ok".  Every
+//       JobSpec wire key is a flag, '_' spelled '-' (docs/serve.md lists
+//       them); a bare flag means 1.  Unlike a default JobSpec, the
+//       workload defaults to msum, the backend to sim-pws and the label to
+//       the workload.
 //
 //   ro-serve stats    --socket=PATH    admission counters + jobs served
 //   ro-serve shutdown --socket=PATH    stop the daemon
@@ -24,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "ro/engine/fields.h"
 #include "ro/serve/client.h"
 #include "ro/serve/server.h"
 #include "ro/util/cli.h"
@@ -85,30 +87,18 @@ bool spec_from_cli(const Cli& cli, JobSpec& spec, std::string& err) {
     }
     return jobspec_from_json(text, spec, &err);
   }
-  spec.tenant = cli.get_str("tenant", "");
-  spec.tag = cli.get_str("tag", "");
-  if (!parse_job_kind(cli.get_str("kind", "run"), spec.kind)) {
-    err = "unknown --kind";
-    return false;
+  // Every wire key is a flag (the key with '_' -> '-'; a bare flag reads
+  // as 1).  Three presets differ from JobSpec's defaults.
+  spec.workload = "msum";
+  spec.opt.backend = Backend::kSimPws;
+  for (const Field<JobSpec>& f : jobspec_fields()) {
+    const std::string flag = field_flag(f);
+    if (cli.has(flag) &&
+        !read_field(f, cli.get_str(flag, ""), f.at(spec), &err)) {
+      return false;
+    }
   }
-  spec.workload = cli.get_str("workload", "msum");
-  spec.n = static_cast<uint64_t>(cli.get_int("n", 1 << 12));
-  spec.seed = static_cast<uint64_t>(cli.get_int("seed", 0));
-  spec.shards = static_cast<uint32_t>(cli.get_int("shards", 1));
-  if (!parse_backend(cli.get_str("backend", "sim-pws"), spec.opt.backend)) {
-    err = "unknown --backend";
-    return false;
-  }
-  spec.opt.label = cli.get_str("label", spec.workload);
-  spec.opt.sim.p = static_cast<uint32_t>(cli.get_int("p", spec.opt.sim.p));
-  spec.opt.sim.M = static_cast<uint64_t>(cli.get_int("M", spec.opt.sim.M));
-  spec.opt.sim.B = static_cast<uint64_t>(cli.get_int("B", spec.opt.sim.B));
-  spec.opt.sim.replay_threads = static_cast<uint32_t>(
-      cli.get_int("replay-threads", spec.opt.sim.replay_threads));
-  spec.opt.seq_baseline = cli.get_int("seq-baseline", 1) != 0;
-  spec.opt.pipeline = cli.get_int("pipeline", 0) != 0;
-  spec.opt.capacity_shared =
-      cli.has("capacity-shared") && cli.get_int("capacity-shared", 1) != 0;
+  if (!cli.has("label")) spec.opt.label = spec.workload;
   return true;
 }
 
