@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   std::vector<AnyProg> progs;
   for (uint32_t i = 0; i < shards; ++i) {
     switch (i % 3) {
-      case 0: progs.emplace_back(prog_sort(n, 1, SortKind::kSpms)); break;
-      case 1: progs.emplace_back(prog_lr(n / 2)); break;
-      default: progs.emplace_back(prog_ps(2 * n)); break;
+      case 0: progs.emplace_back(wl::sort(n, SortKind::kSpms)); break;
+      case 1: progs.emplace_back(wl::lr(n / 2)); break;
+      default: progs.emplace_back(wl::ps(2 * n)); break;
     }
   }
 

@@ -46,15 +46,15 @@ int main(int argc, char** argv) {
 
   const uint32_t side = static_cast<uint32_t>(cli.get_int("side", 128));
   {
-    TaskGraph g = rec_msum(size_t{1} << 15);
+    TaskGraph g = record(wl::msum(size_t{1} << 15));
     rowfor("M-Sum (L=1)", g, size_t{1} << 15);
   }
   {
-    TaskGraph g = rec_mt(side);
+    TaskGraph g = record(wl::mt(side));
     rowfor("MT-BI (L=1)", g, 2ull * side * side);
   }
   {
-    TaskGraph g = rec_bi2rm_direct(side);
+    TaskGraph g = record(wl::bi2rm_direct(side));
     rowfor("BI->RM direct (L=sqrt r)", g, 2ull * side * side);
   }
   t.print();

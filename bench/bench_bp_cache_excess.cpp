@@ -12,7 +12,7 @@ using namespace ro::bench;
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const size_t n = static_cast<size_t>(cli.get_int("n", 1 << 16));
-  TaskGraph g = rec_msum(n);
+  TaskGraph g = record(wl::msum(n));
 
   Table t("E2: BP cache-miss excess under PWS (M-Sum, n=" +
           Table::num(static_cast<uint64_t>(n)) + ", B=32)");

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   t.header({"n", "p", "W", "T_inf", "Q", "pws-cache", "blk-miss",
             "speedup", "W_cc/W_lr"});
   for (size_t n = nmax / 4; n <= nmax; n *= 2) {
-    TaskGraph g = rec_cc(n, 2 * n, 4, 1, sort_from_cli(cli));
-    TaskGraph lr = rec_lr(n, true, 1, sort_from_cli(cli));
+    TaskGraph g = record(wl::cc(n, 2 * n, sort_from_cli(cli)));
+    TaskGraph lr = record(wl::lr(n, true, sort_from_cli(cli)));
     const GraphStats st = g.analyze();
     const GraphStats lrst = lr.analyze();
     const SimConfig c1 = cfg(1, 1 << 12, 32);

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   cfg.B = static_cast<uint32_t>(cli.get_int("B", 32));
 
   // ---- the loop on the packed layout ----
-  const TaskGraph packed = rec_counters(k, iters, 1);
+  const TaskGraph packed = record(wl::counters(k, iters, 1));
   const doctor::DoctorReport d =
       engine().diagnose(packed, Backend::kSimPws, cfg, {}, "doctor-packed");
 
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- the padded control ----
-  const TaskGraph padded = rec_counters(k, iters, cfg.B);
+  const TaskGraph padded = record(wl::counters(k, iters, cfg.B));
   const doctor::DoctorReport dp =
       engine().diagnose(padded, Backend::kSimPws, cfg, {}, "doctor-padded");
   RO_CHECK_MSG(dp.findings.empty(),

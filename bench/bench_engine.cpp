@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
     }
   };
 
-  sweep("scan-ps", prog_ps(n));
-  sweep("msum", prog_msum(n));
-  sweep("sort", prog_sort(n / 4));
-  sweep("sort-spms", prog_sort(n / 4, 1, SortKind::kSpms));
-  sweep("mt-bi", prog_mt(static_cast<uint32_t>(next_pow2(isqrt(n)))));
+  sweep("scan-ps", wl::ps(n));
+  sweep("msum", wl::msum(n));
+  sweep("sort", wl::sort(n / 4));
+  sweep("sort-spms", wl::sort(n / 4, SortKind::kSpms));
+  sweep("mt-bi", wl::mt(static_cast<uint32_t>(next_pow2(isqrt(n)))));
 
   // The sort's merge base case off-simulator (scalar vs kern::merge), as
   // two wall-clock-only rows so the kernel speedup accumulates in

@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     t.header({"variant", "side", "p", "B", "data-blk-miss", "cache-miss",
               "makespan"});
     const uint32_t side = static_cast<uint32_t>(cli.get_int("side", 128));
-    TaskGraph direct = rec_bi2rm_direct(side);
-    TaskGraph gapped = rec_bi2rm_gap(side);
-    TaskGraph forfft = rec_bi2rm_fft(side);
+    TaskGraph direct = record(wl::bi2rm_direct(side));
+    TaskGraph gapped = record(wl::bi2rm_gap(side));
+    TaskGraph forfft = record(wl::bi2rm_fft(side));
     for (uint32_t p : {8u, 16u}) {
       // B = 24: misaligned with the power-of-two tiling (the regime block
       // sharing arises in; aligned power-of-two B makes direct sharing
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
               "makespan"});
     const size_t n = static_cast<size_t>(cli.get_int("n", 1 << 12));
     for (const bool gap : {true, false}) {
-      TaskGraph g = rec_lr(n, gap, 1, sort_from_cli(cli));
+      TaskGraph g = record(wl::lr(n, gap, sort_from_cli(cli)));
       for (uint32_t p : {8u, 16u}) {
         const SimConfig c = cfg(p, 1 << 12, 32);
         const Metrics m = measure(g, Backend::kSimPws, c, false).sim;

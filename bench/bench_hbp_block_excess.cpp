@@ -33,14 +33,14 @@ int main(int argc, char** argv) {
   {
     const uint32_t side = 128;
     const uint64_t n = 2ull * side * side;
-    TaskGraph g = rec_bi2rm_fft(side);
+    TaskGraph g = record(wl::bi2rm_fft(side));
     // s*(n) for s(n)=sqrt n is log log n.
     const double sstar = std::log2(std::log2(static_cast<double>(n)));
     emit("BI-RM-for-FFT (c=1)", g, B * log2_ceil(B) * sstar, n);
   }
   {
     const size_t n = size_t{1} << 14;
-    TaskGraph g = rec_fft(n);
+    TaskGraph g = record(wl::fft(n));
     emit("FFT (c=2, s=sqrt n)", g,
          B * std::log2(static_cast<double>(n)) *
              std::log2(static_cast<double>(log2_ceil(B))),
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   {
     const uint32_t side = 32;
     const uint64_t n = 3ull * side * side;
-    TaskGraph g = rec_mm(side);
+    TaskGraph g = record(wl::mm(side));
     emit("Depth-n-MM (c=2, s=n/4)", g,
          B * std::sqrt(static_cast<double>(n)), n);
   }

@@ -33,17 +33,17 @@ int main(int argc, char** argv) {
 
   const uint32_t side = static_cast<uint32_t>(cli.get_int("side", 128));
   {
-    TaskGraph g = rec_bi2rm_fft(side);
+    TaskGraph g = record(wl::bi2rm_fft(side));
     sweep(t, "BI-RM-for-FFT (c=1)", g, 2ull * side * side);
   }
   {
     const size_t n = size_t{1} << 14;
-    TaskGraph g = rec_fft(n);
+    TaskGraph g = record(wl::fft(n));
     sweep(t, "FFT (c=2, s=sqrt n)", g, 4 * n);
   }
   {
     const uint32_t n = 32;
-    TaskGraph g = rec_mm(n);
+    TaskGraph g = record(wl::mm(n));
     sweep(t, "Depth-n-MM (c=2, s=n/4)", g, 3ull * n * n);
   }
   t.print();

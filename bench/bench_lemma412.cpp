@@ -26,15 +26,15 @@ int main(int argc, char** argv) {
     }
   };
 
-  emit("Scans (M-Sum)", "(i)", rec_msum(size_t{1} << 16));
-  emit("Scans (PS)", "(i)", rec_ps(size_t{1} << 15));
-  emit("MT (BI)", "(ii)", rec_mt(128));
-  emit("RM to BI", "(ii)", rec_rm2bi(128));
-  emit("Strassen (BI)", "(iii)", rec_strassen(32));
-  emit("Depth-n-MM (BI)", "(iv)", rec_mm(32));
-  emit("BI-RM (gap RM)", "(v)", rec_bi2rm_gap(128));
-  emit("BI-RM for FFT", "(vi)", rec_bi2rm_fft(128));
-  emit("FFT", "(vii)", rec_fft(size_t{1} << 14));
+  emit("Scans (M-Sum)", "(i)", record(wl::msum(size_t{1} << 16)));
+  emit("Scans (PS)", "(i)", record(wl::ps(size_t{1} << 15)));
+  emit("MT (BI)", "(ii)", record(wl::mt(128)));
+  emit("RM to BI", "(ii)", record(wl::rm2bi(128)));
+  emit("Strassen (BI)", "(iii)", record(wl::strassen(32)));
+  emit("Depth-n-MM (BI)", "(iv)", record(wl::mm(32)));
+  emit("BI-RM (gap RM)", "(v)", record(wl::bi2rm_gap(128)));
+  emit("BI-RM for FFT", "(vi)", record(wl::bi2rm_fft(128)));
+  emit("FFT", "(vii)", record(wl::fft(size_t{1} << 14)));
   t.print();
   if (cli.has("csv")) t.write_csv("lemma412.csv");
   return 0;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
             "speedup"});
   for (size_t n = nmax / 4; n <= nmax; n *= 2) {
     for (const bool gap : {true, false}) {
-      TaskGraph g = rec_lr(n, gap, 1, sort_from_cli(cli));
+      TaskGraph g = record(wl::lr(n, gap, sort_from_cli(cli)));
       for (uint32_t p : {4u, 16u}) {
         const SimConfig c = cfg(p, 1 << 12, 32);
         const RunReport r = measure(g, Backend::kSimPws, c);

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
                fmt_speedup(flat.makespan, m.makespan)});
       }
     };
-    emit("FFT 16K", rec_fft(size_t{1} << 14));
-    emit("Sort 8K", rec_sort(size_t{1} << 13, 1, sort_from_cli(cli)));
-    emit("Strassen 32", rec_strassen(32));
+    emit("FFT 16K", record(wl::fft(size_t{1} << 14)));
+    emit("Sort 8K", record(wl::sort(size_t{1} << 13, sort_from_cli(cli))));
+    emit("Strassen 32", record(wl::strassen(32)));
     t.print();
     if (cli.has("csv")) t.write_csv("hierarchy.csv");
   }
@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
                Table::num(m.makespan)});
       }
     };
-    emit("BI->RM direct 128", rec_bi2rm_direct(128));
-    emit("LR 2K (no gap)", rec_lr(size_t{1} << 11, /*gapping=*/false, 1,
-                                  sort_from_cli(cli)));
+    emit("BI->RM direct 128", record(wl::bi2rm_direct(128)));
+    emit("LR 2K (no gap)", record(wl::lr(size_t{1} << 11, /*gapping=*/false,
+                                         sort_from_cli(cli))));
     t.print();
     if (cli.has("csv")) t.write_csv("mitigations.csv");
   }

@@ -18,6 +18,9 @@
 #include <vector>
 
 #include "common.h"
+#include "ro/alg/graphgen.h"
+#include "ro/alg/listrank.h"
+#include "ro/alg/scan.h"
 
 using namespace ro;
 using namespace ro::bench;

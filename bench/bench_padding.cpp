@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  emit("M-Sum 32K", rec_msum(size_t{1} << 15, 1, false),
-       rec_msum(size_t{1} << 15, 1, true));
-  emit("PS 16K", rec_ps(size_t{1} << 14, 1, false),
-       rec_ps(size_t{1} << 14, 1, true));
+  emit("M-Sum 32K", record(wl::msum(size_t{1} << 15)),
+       record(wl::msum(size_t{1} << 15), true));
+  emit("PS 16K", record(wl::ps(size_t{1} << 14)),
+       record(wl::ps(size_t{1} << 14), true));
   t.print();
   if (cli.has("csv")) t.write_csv("padding.csv");
   std::printf(

@@ -41,16 +41,16 @@ int main(int argc, char** argv) {
            fmt_speedup(pws.seq_makespan, mk / kSeeds)});
   };
 
-  emit("M-Sum 64K", rec_msum(size_t{1} << 16));
-  emit("PS 32K", rec_ps(size_t{1} << 15));
-  emit("MT-BI 128", rec_mt(128));
-  emit("RM->BI 128", rec_rm2bi(128));
-  emit("BI->RM gap 128", rec_bi2rm_gap(128));
-  emit("Strassen 32", rec_strassen(32));
-  emit("Depth-n-MM 32", rec_mm(32));
-  emit("FFT 16K", rec_fft(size_t{1} << 14));
-  emit("Sort 8K", rec_sort(size_t{1} << 13, 1, sort_from_cli(cli)));
-  emit("LR 4K", rec_lr(size_t{1} << 12, true, 1, sort_from_cli(cli)));
+  emit("M-Sum 64K", record(wl::msum(size_t{1} << 16)));
+  emit("PS 32K", record(wl::ps(size_t{1} << 15)));
+  emit("MT-BI 128", record(wl::mt(128)));
+  emit("RM->BI 128", record(wl::rm2bi(128)));
+  emit("BI->RM gap 128", record(wl::bi2rm_gap(128)));
+  emit("Strassen 32", record(wl::strassen(32)));
+  emit("Depth-n-MM 32", record(wl::mm(32)));
+  emit("FFT 16K", record(wl::fft(size_t{1} << 14)));
+  emit("Sort 8K", record(wl::sort(size_t{1} << 13, sort_from_cli(cli))));
+  emit("LR 4K", record(wl::lr(size_t{1} << 12, true, sort_from_cli(cli))));
   t.print();
   if (cli.has("csv")) t.write_csv("pws_vs_rws.csv");
   std::printf("\n(RWS* = mean of 3 seeds.)\n");

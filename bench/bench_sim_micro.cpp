@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   // ---- trace recording rate --------------------------------------------
   {
     const double t0 = now_ms();
-    TaskGraph g = rec_msum(n);
+    TaskGraph g = record(wl::msum(n));
     const double rec_ms = now_ms() - t0;
     const double rate = g.accesses.size() / rec_ms * 1e3;
     std::printf("\nrecord: %zu accesses in %.2f ms (%.2f Macc/s)\n",

@@ -43,7 +43,7 @@ namespace {
 // value on every build and host.
 uint64_t spms_span(size_t n, const alg::SpmsTuning& t) {
   SpmsTuningGuard guard(t);
-  return engine().record(prog_sort(n, 1, alg::SortKind::kSpms)).stats.span;
+  return engine().record(wl::sort(n, alg::SortKind::kSpms)).stats.span;
 }
 
 double span_norm(size_t n, uint64_t span) {
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   uint64_t q[2] = {0, 0};
   for (SortKind kind : {SortKind::kMsort, SortKind::kSpms}) {
     const char* name = alg::sort_kind_name(kind);
-    const Recording rec = engine().record(prog_sort(n, 1, kind));
+    const Recording rec = engine().record(wl::sort(n, kind));
     for (Backend b : {Backend::kSimPws, Backend::kSimRws}) {
       const RunReport r = engine().replay(rec, b, c);
       if (b == Backend::kSimPws) q[kind == SortKind::kSpms] = r.q_seq;
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
       opt.label = name;
       const JobResult r_jr =
-          engine().submit({.opt = opt}, prog_sort(n, 1, kind));
+          engine().submit({.opt = opt}, wl::sort(n, kind));
       RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
       const RunReport& r = r_jr.report;
       t.row({name, backend_name(b), "-", "-", "-", "-", "-", "-", "-",
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
       double best = 0;
       for (int r = 0; r < 3; ++r) {
         const JobResult jr =
-            engine().submit({.opt = opt}, prog_sort(n, 1, SortKind::kSpms));
+            engine().submit({.opt = opt}, wl::sort(n, SortKind::kSpms));
         RO_CHECK_MSG(jr.ok(), jr.error.c_str());
         const double ms = jr.report.wall_ms;
         best = (r == 0 || ms < best) ? ms : best;

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
     }
   };
 
-  emit("M-Sum (single BP)", rec_msum(size_t{1} << 15));
-  emit("MT-BI (single BP)", rec_mt(128));
-  emit("Depth-n-MM (HBP)", rec_mm(32));
+  emit("M-Sum (single BP)", record(wl::msum(size_t{1} << 15)));
+  emit("MT-BI (single BP)", record(wl::mt(128)));
+  emit("Depth-n-MM (HBP)", record(wl::mm(32)));
   t.print();
   if (cli.has("csv")) t.write_csv("steal_bounds.csv");
   std::printf(

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   // The SPMS sort trace: the access-heaviest Table-1 family per input
   // word, so the stream dwarfs any reasonable window.
-  auto prog = prog_sort(n, 1, SortKind::kSpms);
+  auto prog = wl::sort(n, SortKind::kSpms);
 
   Table t("Streaming trace pipeline: bounded-memory record + replay");
   t.header({"pipeline", "window", "trace-MB", "resident-peak-MB", "spilled-MB",
@@ -175,10 +175,10 @@ int main(int argc, char** argv) {
   // not lose to the barrier schedule.
   if (cli.get_int("pipeline", 1) != 0) {
     std::vector<AnyProg> progs;
-    progs.emplace_back(prog_sort(n, 1, SortKind::kSpms));
-    progs.emplace_back(prog_sort(n, 1, SortKind::kMsort));
-    progs.emplace_back(prog_sort(n / 2, 1, SortKind::kSpms));
-    progs.emplace_back(prog_sort(n / 2, 1, SortKind::kMsort));
+    progs.emplace_back(wl::sort(n, SortKind::kSpms));
+    progs.emplace_back(wl::sort(n, SortKind::kMsort));
+    progs.emplace_back(wl::sort(n / 2, SortKind::kSpms));
+    progs.emplace_back(wl::sort(n / 2, SortKind::kMsort));
 
     RunOptions bopt = opt;
     bopt.label = "stream-batch";

@@ -15,6 +15,8 @@
 #include <cmath>
 
 #include "common.h"
+#include "ro/core/probes.h"
+#include "ro/core/validate.h"
 
 using namespace ro;
 using namespace ro::bench;
@@ -69,88 +71,43 @@ int main(int argc, char** argv) {
   const size_t n1 = 1 << 12, n2 = 1 << 14;
   const uint32_t s1 = 16 * scale, s2 = 32 * scale;
 
-  {
-    Row r{"M-Sum (scan)", rec_msum(n1), rec_msum(n2), double(n2) / n1, "1", "1"};
+  // Records both sizes (small first) and emits the row.
+  const auto row = [&](const char* name, const AnyProg& small,
+                       const AnyProg& big, double size_ratio,
+                       const char* paper_f, const char* paper_l) {
+    Row r{name, record(small), record(big), size_ratio, paper_f, paper_l};
     emit(t, r);
-  }
-  {
-    Row r{"PS (prefix sums)", rec_ps(n1), rec_ps(n2), double(n2) / n1, "1", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"MA (matrix add)", rec_ma(n1), rec_ma(n2), double(n2) / n1, "1", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"MT (BI)", rec_mt(s1 * 2), rec_mt(s2 * 2), 4.0, "1", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"RM to BI", rec_rm2bi(s1 * 2), rec_rm2bi(s2 * 2), 4.0, "sqrt(r)", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"Direct BI to RM", rec_bi2rm_direct(s1 * 2), rec_bi2rm_direct(s2 * 2),
-          4.0, "sqrt(r)", "sqrt(r)"};
-    emit(t, r);
-  }
-  {
-    Row r{"BI-RM (gap RM)", rec_bi2rm_gap(s1 * 2), rec_bi2rm_gap(s2 * 2), 4.0,
-          "sqrt(r)", "gap"};
-    emit(t, r);
-  }
-  {
-    Row r{"BI-RM for FFT", rec_bi2rm_fft(s1 * 2), rec_bi2rm_fft(s2 * 2), 4.0,
-          "sqrt(r)", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"Strassen (BI)", rec_strassen(s1), rec_strassen(s2), 4.0, "1", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"Depth-n-MM (BI)", rec_mm(s1), rec_mm(s2), 4.0, "1", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"FFT (six-step)", rec_fft(1 << 10), rec_fft(1 << 12), 4.0, "sqrt(r)",
-          "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"Sort (HBP msort)", rec_sort(n1 / 2), rec_sort(n2 / 4), 2.0,
-          "sqrt(r)", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"Sort (SPMS)",
-          rec_sort(n1 / 2, 1, SortKind::kSpms),
-          rec_sort(n2 / 4, 1, SortKind::kSpms), 2.0, "sqrt(r)", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"LR (list rank)", rec_lr(1 << 9, true, 1, kind),
-          rec_lr(1 << 11, true, 1, kind), 4.0, "sqrt(r)", "gap"};
-    emit(t, r);
-  }
+  };
+  row("M-Sum (scan)", wl::msum(n1), wl::msum(n2), double(n2) / n1, "1", "1");
+  row("PS (prefix sums)", wl::ps(n1), wl::ps(n2), double(n2) / n1, "1", "1");
+  row("MA (matrix add)", wl::ma(n1), wl::ma(n2), double(n2) / n1, "1", "1");
+  row("MT (BI)", wl::mt(s1 * 2), wl::mt(s2 * 2), 4.0, "1", "1");
+  row("RM to BI", wl::rm2bi(s1 * 2), wl::rm2bi(s2 * 2), 4.0, "sqrt(r)", "1");
+  row("Direct BI to RM", wl::bi2rm_direct(s1 * 2), wl::bi2rm_direct(s2 * 2),
+      4.0, "sqrt(r)", "sqrt(r)");
+  row("BI-RM (gap RM)", wl::bi2rm_gap(s1 * 2), wl::bi2rm_gap(s2 * 2), 4.0,
+      "sqrt(r)", "gap");
+  row("BI-RM for FFT", wl::bi2rm_fft(s1 * 2), wl::bi2rm_fft(s2 * 2), 4.0,
+      "sqrt(r)", "1");
+  row("Strassen (BI)", wl::strassen(s1), wl::strassen(s2), 4.0, "1", "1");
+  row("Depth-n-MM (BI)", wl::mm(s1), wl::mm(s2), 4.0, "1", "1");
+  row("FFT (six-step)", wl::fft(1 << 10), wl::fft(1 << 12), 4.0, "sqrt(r)",
+      "1");
+  row("Sort (HBP msort)", wl::sort(n1 / 2), wl::sort(n2 / 4), 2.0, "sqrt(r)",
+      "1");
+  row("Sort (SPMS)", wl::sort(n1 / 2, SortKind::kSpms),
+      wl::sort(n2 / 4, SortKind::kSpms), 2.0, "sqrt(r)", "1");
+  row("LR (list rank)", wl::lr(1 << 9, true, kind),
+      wl::lr(1 << 11, true, kind), 4.0, "sqrt(r)", "gap");
   // The false-sharing calibration pair (alg/counters.h, SNIPPETS #1): the
   // packed counters are the adversarial layout ro-doctor repairs, the
   // stride-B padded twin is the clean control the repair must reproduce.
-  {
-    Row r{"FS counters (packed)", rec_counters(8, 32, 1),
-          rec_counters(8, 128, 1), 4.0, "1", "packed"};
-    emit(t, r);
-  }
-  {
-    Row r{"FS counters (padded)", rec_counters(8, 32, 32),
-          rec_counters(8, 128, 32), 4.0, "1", "1"};
-    emit(t, r);
-  }
-  {
-    Row r{"CC (components)", rec_cc(128, 128, 4, 1, kind),
-          rec_cc(512, 512, 4, 1, kind), 4.0, "sqrt(r)", "gap"};
-    emit(t, r);
-  }
+  row("FS counters (packed)", wl::counters(8, 32, 1), wl::counters(8, 128, 1),
+      4.0, "1", "packed");
+  row("FS counters (padded)", wl::counters(8, 32, 32),
+      wl::counters(8, 128, 32), 4.0, "1", "1");
+  row("CC (components)", wl::cc(128, 128, kind), wl::cc(512, 512, kind), 4.0,
+      "sqrt(r)", "gap");
   t.print();
   if (cli.has("csv")) t.write_csv("table1.csv");
 

@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  emit("M-Sum 64K", rec_msum(size_t{1} << 16));
-  emit("MT-BI 128", rec_mt(128));
-  emit("Strassen 32", rec_strassen(32));
-  emit("FFT 16K", rec_fft(size_t{1} << 14));
+  emit("M-Sum 64K", record(wl::msum(size_t{1} << 16)));
+  emit("MT-BI 128", record(wl::mt(128)));
+  emit("Strassen 32", record(wl::strassen(32)));
+  emit("FFT 16K", record(wl::fft(size_t{1} << 14)));
   t.print();
   if (cli.has("csv")) t.write_csv("tallcache.csv");
   std::printf(

@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  emit("M-Sum", rec_msum(size_t{1} << 15));
-  emit("PS", rec_ps(size_t{1} << 14));
-  emit("FFT", rec_fft(size_t{1} << 12));
-  emit("Strassen", rec_strassen(32));
+  emit("M-Sum", record(wl::msum(size_t{1} << 15)));
+  emit("PS", record(wl::ps(size_t{1} << 14)));
+  emit("FFT", record(wl::fft(size_t{1} << 12)));
+  emit("Strassen", record(wl::strassen(32)));
   t.print();
   if (cli.has("csv")) t.write_csv("usurpation.csv");
   return 0;

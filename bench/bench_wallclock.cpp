@@ -25,7 +25,7 @@ void BM_Msum(benchmark::State& state) {
   opt.serial_below = 1 << 12;
   uint64_t steals = 0;
   for (auto _ : state) {
-    const JobResult r_jr = engine().submit({.opt = opt}, prog_msum(n, 512));
+    const JobResult r_jr = engine().submit({.opt = opt}, wl::msum(n, 0, 512));
     RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
     const RunReport& r = r_jr.report;
     steals += r.pool_steals;
@@ -51,7 +51,8 @@ void BM_Sort(benchmark::State& state) {
   opt.threads = 2;
   opt.serial_below = 1 << 12;
   for (auto _ : state) {
-    const JobResult r_jr = engine().submit({.opt = opt}, prog_sort(n, 64));
+    const JobResult r_jr =
+        engine().submit({.opt = opt}, wl::sort(n, SortKind::kMsort, 0, 64));
     RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
     const RunReport& r = r_jr.report;
     benchmark::DoNotOptimize(r.wall_ms);
@@ -71,7 +72,7 @@ void BM_StrassenPar(benchmark::State& state) {
   opt.serial_below = 1 << 12;
   for (auto _ : state) {
     const JobResult r_jr =
-        engine().submit({.opt = opt}, prog_strassen(n, 16));
+        engine().submit({.opt = opt}, wl::strassen(n, 16));
     RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
     const RunReport& r = r_jr.report;
     benchmark::DoNotOptimize(r.wall_ms);

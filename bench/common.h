@@ -1,13 +1,13 @@
 // Shared infrastructure for the experiment binaries (E1–E15, DESIGN.md §4).
 //
-// Workloads are *programs*: generic callables over any execution context,
-// runnable unchanged on every ro::Engine backend (seq, sim-PWS, sim-RWS,
-// par-random, par-priority).  `prog_*` builds deterministic inputs (per
-// size) and runs one Table-1 algorithm; `rec_*` records a program once
-// through the shared Engine for the trace-replay benches; `measure` replays
-// a recorded graph on one simulated machine and returns the unified
-// RunReport.  Every binary prints paper-style tables via ro::Table and also
-// drops a CSV next to the binary when --csv is passed.
+// Workloads are *programs* from the registry (engine/workloads.h): the
+// `wl::` builders make deterministic inputs (per size) and run one
+// Table-1 algorithm on any ro::Engine backend (seq, sim-PWS, sim-RWS,
+// par-random, par-priority).  `record` records a program once through the
+// shared Engine for the trace-replay benches; `measure` replays a
+// recorded graph on one simulated machine and returns the unified
+// RunReport.  Every binary prints paper-style tables via ro::Table and
+// also drops a CSV next to the binary when --csv is passed.
 #pragma once
 
 #include <algorithm>
@@ -16,31 +16,18 @@
 #include <string>
 #include <vector>
 
-#include "ro/alg/cc.h"
 #include "ro/alg/kernels.h"
-#include "ro/alg/counters.h"
-#include "ro/alg/euler.h"
-#include "ro/alg/fft.h"
-#include "ro/alg/graphgen.h"
-#include "ro/alg/listrank.h"
-#include "ro/alg/mm.h"
-#include "ro/alg/mt.h"
-#include "ro/alg/rm_bi.h"
-#include "ro/alg/scan.h"
 #include "ro/alg/sort.h"
 #include "ro/alg/spms.h"
-#include "ro/alg/strassen.h"
-#include "ro/core/probes.h"
-#include "ro/core/validate.h"
 #include "ro/engine/engine.h"
 #include "ro/engine/fields.h"
+#include "ro/engine/workloads.h"
 #include "ro/util/cli.h"
 #include "ro/util/rng.h"
 #include "ro/util/table.h"
 
 namespace ro::bench {
 
-using alg::cplx;
 using alg::i64;
 using alg::SortKind;
 
@@ -229,258 +216,11 @@ inline Engine& engine() {
   return e;
 }
 
-// ---- workload programs (inputs deterministic per size) ----
-
-inline auto prog_msum(size_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(1, "out");
-    cx.run(n, [&] { alg::msum(cx, a.slice(), out.slice(), grain); });
-  };
-}
-
-inline auto prog_ps(size_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n + 1);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n, [&] { alg::prefix_sums(cx, a.slice(), out.slice(), grain); });
-  };
-}
-
-inline auto prog_ma(size_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    auto b = cx.template alloc<i64>(n, "b");
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(3 * n, [&] {
-      alg::matrix_add(cx, a.slice(), b.slice(), out.slice(), grain);
-    });
-  };
-}
-
-inline auto prog_mt(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto in = cx.template alloc<i64>(m, "in");
-    auto out = cx.template alloc<i64>(m, "out");
-    cx.run(2 * m, [&] { alg::mt_bi(cx, in.slice(), out.slice(), n, grain); });
-  };
-}
-
-inline auto prog_rm2bi(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto in = cx.template alloc<i64>(m, "rm");
-    auto out = cx.template alloc<i64>(m, "bi");
-    cx.run(2 * m, [&] { alg::rm_to_bi(cx, in.slice(), out.slice(), n, grain); });
-  };
-}
-
-inline auto prog_bi2rm_direct(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto in = cx.template alloc<i64>(m, "bi");
-    auto out = cx.template alloc<i64>(m, "rm");
-    cx.run(2 * m, [&] {
-      alg::bi_to_rm_direct(cx, in.slice(), out.slice(), n, grain);
-    });
-  };
-}
-
-inline auto prog_bi2rm_gap(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto in = cx.template alloc<i64>(m, "bi");
-    auto out = cx.template alloc<i64>(m, "rm");
-    cx.run(2 * m, [&] {
-      alg::bi_to_rm_gap(cx, in.slice(), out.slice(), n, grain);
-    });
-  };
-}
-
-inline auto prog_bi2rm_fft(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto in = cx.template alloc<i64>(m, "bi");
-    auto out = cx.template alloc<i64>(m, "rm");
-    cx.run(2 * m, [&] {
-      alg::bi_to_rm_fft(cx, in.slice(), out.slice(), n, grain);
-    });
-  };
-}
-
-inline auto prog_strassen(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto a = cx.template alloc<i64>(m, "a");
-    auto b = cx.template alloc<i64>(m, "b");
-    auto c = cx.template alloc<i64>(m, "c");
-    cx.run(3 * m, [&] {
-      alg::strassen_bi(cx, a.slice(), b.slice(), c.slice(), n, 2, grain);
-    });
-  };
-}
-
-inline auto prog_mm(uint32_t n, size_t grain = 1) {
-  return [=](auto& cx) {
-    const size_t m = static_cast<size_t>(n) * n;
-    auto a = cx.template alloc<i64>(m, "a");
-    auto b = cx.template alloc<i64>(m, "b");
-    auto c = cx.template alloc<i64>(m, "c");
-    cx.run(3 * m, [&] {
-      alg::depth_n_mm(cx, a.slice(), b.slice(), c.slice(), n, 2, grain);
-    });
-  };
-}
-
-inline auto prog_fft(size_t n, bool bi_transpose = false, size_t grain = 1) {
-  return [=](auto& cx) {
-    auto x = cx.template alloc<cplx>(n, "x");
-    Rng rng(n + 3);
-    for (size_t i = 0; i < n; ++i) {
-      x.raw()[i] = cplx(rng.next_double(), rng.next_double());
-    }
-    auto y = cx.template alloc<cplx>(n, "y");
-    alg::FftOptions opt;
-    opt.bi_transpose = bi_transpose;
-    opt.grain = grain;
-    cx.run(4 * n, [&] { alg::fft(cx, x.slice(), y.slice(), opt); });
-  };
-}
-
-inline auto prog_sort(size_t n, size_t grain = 1,
-                      SortKind kind = SortKind::kMsort) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n + 4);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n,
-           [&] { alg::sort_by(cx, kind, a.slice(), out.slice(), 8, grain); });
-  };
-}
-
-inline auto prog_lr(size_t n, bool gapping = true, size_t grain = 1,
-                    SortKind kind = SortKind::kMsort) {
-  const auto succ = alg::random_list(n, n * 7 + 3);
-  return [=](auto& cx) {
-    auto s = cx.template alloc<i64>(n, "succ");
-    std::copy(succ.begin(), succ.end(), s.raw());
-    auto r = cx.template alloc<i64>(n, "rank");
-    alg::ListRankOptions opt;
-    opt.gapping = gapping;
-    opt.grain = grain;
-    opt.sort = kind;
-    cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice(), opt); });
-  };
-}
-
-inline auto prog_cc(size_t n, size_t extra, size_t groups, size_t grain = 1,
-                    SortKind kind = SortKind::kMsort) {
-  const auto e = alg::random_graph(n, extra, groups, n * 13 + 7);
-  return [=](auto& cx) {
-    const size_t m = e.u.size();
-    auto eu = cx.template alloc<i64>(std::max<size_t>(1, m), "eu");
-    auto ev = cx.template alloc<i64>(std::max<size_t>(1, m), "ev");
-    std::copy(e.u.begin(), e.u.end(), eu.raw());
-    std::copy(e.v.begin(), e.v.end(), ev.raw());
-    auto label = cx.template alloc<i64>(n, "label");
-    alg::CcOptions opt;
-    opt.grain = grain;
-    opt.sort = kind;
-    cx.run(2 * (n + m), [&] {
-      alg::connected_components(cx, n, eu.slice().first(m),
-                                ev.slice().first(m), label.slice(), opt);
-    });
-  };
-}
-
-/// The false-sharing calibration microbench (alg/counters.h): k counters
-/// `stride` words apart, `iters` increments each.  stride = 1 is the
-/// packed adversary ro-doctor must diagnose and repair; stride = B is the
-/// padded control.
-inline auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return [=](auto& cx) {
-    auto slots = cx.template alloc<i64>(alg::counter_words(k, stride),
-                                        "counters");
-    for (uint32_t c = 0; c < k; ++c) slots.raw()[c * stride] = 0;
-    cx.run(uint64_t{k} * 2 * iters, [&] {
-      alg::counter_stripes(cx, slots.slice(), k, iters, stride);
-    });
-  };
-}
-
-// ---- recorded-graph factories (record a program once, replay many) ----
-
-inline TaskGraph rec_msum(size_t n, size_t grain = 1, bool padded = false) {
-  return engine().record(prog_msum(n, grain), padded).graph;
-}
-
-inline TaskGraph rec_ps(size_t n, size_t grain = 1, bool padded = false) {
-  return engine().record(prog_ps(n, grain), padded).graph;
-}
-
-inline TaskGraph rec_ma(size_t n, size_t grain = 1) {
-  return engine().record(prog_ma(n, grain)).graph;
-}
-
-inline TaskGraph rec_mt(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_mt(n, grain)).graph;
-}
-
-inline TaskGraph rec_rm2bi(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_rm2bi(n, grain)).graph;
-}
-
-inline TaskGraph rec_bi2rm_direct(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_bi2rm_direct(n, grain)).graph;
-}
-
-inline TaskGraph rec_bi2rm_gap(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_bi2rm_gap(n, grain)).graph;
-}
-
-inline TaskGraph rec_bi2rm_fft(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_bi2rm_fft(n, grain)).graph;
-}
-
-inline TaskGraph rec_strassen(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_strassen(n, grain)).graph;
-}
-
-inline TaskGraph rec_mm(uint32_t n, size_t grain = 1) {
-  return engine().record(prog_mm(n, grain)).graph;
-}
-
-inline TaskGraph rec_fft(size_t n, bool bi_transpose = false,
-                         size_t grain = 1) {
-  return engine().record(prog_fft(n, bi_transpose, grain)).graph;
-}
-
-inline TaskGraph rec_sort(size_t n, size_t grain = 1,
-                          SortKind kind = SortKind::kMsort) {
-  return engine().record(prog_sort(n, grain, kind)).graph;
-}
-
-inline TaskGraph rec_lr(size_t n, bool gapping = true, size_t grain = 1,
-                        SortKind kind = SortKind::kMsort) {
-  return engine().record(prog_lr(n, gapping, grain, kind)).graph;
-}
-
-inline TaskGraph rec_cc(size_t n, size_t extra, size_t groups,
-                        size_t grain = 1, SortKind kind = SortKind::kMsort) {
-  return engine().record(prog_cc(n, extra, groups, grain, kind)).graph;
-}
-
-inline TaskGraph rec_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return engine().record(prog_counters(k, iters, stride)).graph;
+/// Records `prog` (a workload-registry builder, engine/workloads.h) once
+/// through the shared Engine, for the benches that replay one trace many
+/// times.
+inline TaskGraph record(const AnyProg& prog, bool padded = false) {
+  return engine().record(prog, padded).graph;
 }
 
 // ---- run helpers ----

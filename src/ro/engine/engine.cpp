@@ -675,22 +675,23 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
 }
 
 JobResult Engine::submit(const JobSpec& spec) {
-  // Validate before building programs: a wire-sized n or shard count must
-  // be refused here, not inside the workloads' allocations.
-  std::string why = spec_error(spec);
-  std::vector<AnyProg> progs;
-  if (why.empty()) {
-    const bool batch = spec.kind == JobKind::kBatch;
-    const uint32_t shards = batch ? std::max(spec.shards, 1u) : 1;
-    // Per-shard seed salt: tenants of a batch run distinct-but-
-    // deterministic inputs of the same workload.
-    for (uint32_t i = 0; i < shards; ++i)
-      progs.push_back(make_workload(spec.workload, spec.n, spec.seed + i));
-    if (progs[0]) return batch ? submit(spec, progs) : submit(spec, progs[0]);
-    why = "unknown workload \"" + spec.workload + "\"";
+  // Validate before building programs: a wire-sized n or shard count, or
+  // an n the workload does not accept, must be refused here, not inside
+  // the workloads' allocations or kernels.
+  std::string why = workload_error(spec.workload, spec.n);
+  if (why.empty()) why = spec_error(spec);
+  if (!why.empty()) {
+    JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
+    return fail(jr, why);
   }
-  JobResult jr = start_result(next_job_id_.fetch_add(1), spec);
-  return fail(jr, why);
+  if (spec.kind != JobKind::kBatch)
+    return submit(spec, make_workload(spec.workload, spec.n, spec.seed));
+  // Per-shard seed salt: tenants of a batch run distinct-but-deterministic
+  // inputs of the same workload.
+  std::vector<AnyProg> progs;
+  for (uint32_t i = 0; i < std::max(spec.shards, 1u); ++i)
+    progs.push_back(make_workload(spec.workload, spec.n, spec.seed + i));
+  return submit(spec, progs);
 }
 
 JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {

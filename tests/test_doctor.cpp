@@ -9,42 +9,17 @@
 #include <string>
 #include <vector>
 
-#include "ro/alg/counters.h"
-#include "ro/alg/scan.h"
 #include "ro/core/remap.h"
 #include "ro/doctor/doctor.h"
 #include "ro/engine/engine.h"
+#include "ro/engine/workloads.h"
 #include "ro/sim/contention.h"
-#include "ro/util/rng.h"
 #include "test_helpers.h"
 
 namespace ro {
 namespace {
 
-using alg::i64;
 using testing::engine;
-
-auto prog_counters(uint32_t k, uint64_t iters, uint64_t stride) {
-  return [=](auto& cx) {
-    auto slots =
-        cx.template alloc<i64>(alg::counter_words(k, stride), "counters");
-    for (uint32_t c = 0; c < k; ++c) slots.raw()[c * stride] = 0;
-    cx.run(uint64_t{k} * 2 * iters, [&] {
-      alg::counter_stripes(cx, slots.slice(), k, iters, stride);
-    });
-  };
-}
-
-auto prog_msum(size_t n) {
-  return [=](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next_below(100));
-    auto out = cx.template alloc<i64>(1, "out");
-    cx.run(n, [&] { alg::msum(cx, a.slice(), out.slice(), 1); });
-  };
-}
 
 SimConfig doctor_cfg(uint32_t replay_threads = 1) {
   SimConfig cfg;
@@ -91,7 +66,7 @@ TEST(AddressRemap, PaddingRuleSpreadsWords) {
 TEST(AddressRemap, RoundTripOverRecordedAddresses) {
   // The property the verify step rests on: remap then unmap is the
   // identity on every *recorded* data address of a real trace.
-  const Recording rec = engine().record(prog_counters(8, 16, 1));
+  const Recording rec = engine().record(wl::counters(8, 16, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "rt");
   ASSERT_FALSE(d.plan.remap.empty());
@@ -113,7 +88,7 @@ TEST(AddressRemap, RoundTripOverRecordedAddresses) {
 // ---- ContentionProfile determinism ----
 
 TEST(ContentionProfile, PackedCountersAttribution) {
-  const Recording rec = engine().record(prog_counters(8, 16, 1));
+  const Recording rec = engine().record(wl::counters(8, 16, 1));
   ContentionProfile prof;
   SimConfig cfg = doctor_cfg();
   cfg.profile = &prof;
@@ -130,9 +105,9 @@ TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
   // the host walks shards (and their cores) on 1 / 2 / 8 threads, and the
   // merged attribution must be bit-identical every time.
   std::vector<TaskGraph> parts;
-  parts.push_back(engine().record(prog_counters(8, 16, 1), false, 4096, 0)
+  parts.push_back(engine().record(wl::counters(8, 16, 1), false, 4096, 0)
                       .graph);
-  parts.push_back(engine().record(prog_msum(512), false, 4096, 1).graph);
+  parts.push_back(engine().record(wl::msum(512), false, 4096, 1).graph);
   const TaskGraph merged = merge_shards(std::move(parts));
 
   ContentionProfile base;
@@ -194,7 +169,7 @@ TEST(ContentionProfile, MatchesFrozenGoldenOnPackedCounters) {
   // retired (FlatLru agreed bit for bit): every recorded invalidation,
   // coherence miss and transfer on the packed-counter adversary, the
   // doctor's diagnostic input.
-  const Recording rec = engine().record(prog_counters(8, 16, 1));
+  const Recording rec = engine().record(wl::counters(8, 16, 1));
   ContentionProfile prof;
   SimConfig cfg = doctor_cfg();
   cfg.profile = &prof;
@@ -212,7 +187,7 @@ TEST(ContentionProfile, DeterministicAcrossStreamWindows) {
   // 1 / 2 / unbounded profiles identically to the in-memory walk.
   ContentionProfile mem;
   {
-    const Recording rec = engine().record(prog_counters(8, 32, 1));
+    const Recording rec = engine().record(wl::counters(8, 32, 1));
     SimConfig cfg = doctor_cfg();
     cfg.profile = &mem;
     engine().replay(rec, Backend::kSimPws, cfg, false);
@@ -223,7 +198,7 @@ TEST(ContentionProfile, DeterministicAcrossStreamWindows) {
     stream.segment_tasks = 64;
     stream.max_resident_segments = w;
     const Recording rec =
-        engine().record_stream(prog_counters(8, 32, 1), stream);
+        engine().record_stream(wl::counters(8, 32, 1), stream);
     ContentionProfile prof;
     SimConfig cfg = doctor_cfg();
     cfg.profile = &prof;
@@ -247,7 +222,7 @@ TEST(ContentionProfile, MergeSums) {
 // ---- the closed loop ----
 
 TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
-  const Recording rec = engine().record(prog_counters(8, 64, 1));
+  const Recording rec = engine().record(wl::counters(8, 64, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "packed");
 
@@ -275,7 +250,7 @@ TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
 }
 
 TEST(Doctor, PaddedControlDiagnosesClean) {
-  const Recording rec = engine().record(prog_counters(8, 64, 32));
+  const Recording rec = engine().record(wl::counters(8, 64, 32));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "padded");
   EXPECT_TRUE(d.findings.empty());
@@ -288,10 +263,10 @@ TEST(Doctor, RepairReproducesPaddedLayout) {
   // The remap is gap.h's StrideLayout as a trace transformation: the
   // repaired packed run must show the padded run's coherence behaviour.
   const doctor::DoctorReport packed = engine().diagnose(
-      engine().record(prog_counters(8, 64, 1)), Backend::kSimPws,
+      engine().record(wl::counters(8, 64, 1)), Backend::kSimPws,
       doctor_cfg(), {}, "packed");
   const doctor::DoctorReport padded = engine().diagnose(
-      engine().record(prog_counters(8, 64, 32)), Backend::kSimPws,
+      engine().record(wl::counters(8, 64, 32)), Backend::kSimPws,
       doctor_cfg(), {}, "padded");
   ASSERT_TRUE(packed.has_after);
   EXPECT_EQ(packed.after.sim.block_misses(),
@@ -303,7 +278,7 @@ TEST(Doctor, RepairReproducesPaddedLayout) {
 // ---- JSON ----
 
 TEST(Doctor, ReportJsonRoundTrips) {
-  const Recording rec = engine().record(prog_counters(8, 32, 1));
+  const Recording rec = engine().record(wl::counters(8, 32, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "json");
   const std::string j = d.to_json();
@@ -320,7 +295,7 @@ TEST(Doctor, ReportJsonRoundTrips) {
 }
 
 TEST(Report, ForwardCompatUnknownAndMissingFields) {
-  const Recording rec = engine().record(prog_counters(8, 32, 1));
+  const Recording rec = engine().record(wl::counters(8, 32, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "fc");
   ASSERT_TRUE(d.before.has_contention);

@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "ro/alg/graphgen.h"
+#include "ro/alg/listrank.h"
+#include "ro/alg/route.h"
+#include "ro/alg/spms.h"
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
 #include "ro/engine/engine.h"
 #include "ro/sched/run.h"
+#include "ro/util/rng.h"
 
 namespace ro::testing {
 
@@ -50,6 +57,48 @@ inline void check_schedulers(const TaskGraph& g, uint32_t p = 4,
   // Note: makespan <= seq and the per-priority steal bound (Obs 4.3) are
   // asserted in test_sched on single-BP graphs with n >> overheads; they do
   // not hold for arbitrary tiny or heavily-sequenced computations.
+}
+
+// ---- the three trace families of the batch and stream goldens ----
+
+/// Sort-routed gather ("route"): two sorts + three BP scans per call.
+inline auto prog_route(size_t n) {
+  return [n](auto& cx) {
+    auto idx = cx.template alloc<alg::i64>(n, "idx");
+    auto val = cx.template alloc<alg::i64>(n, "val");
+    Rng rng(n * 31 + 5);
+    for (size_t i = 0; i < n; ++i) {
+      idx.raw()[i] = static_cast<alg::i64>(rng.next_below(n));
+      val.raw()[i] = static_cast<alg::i64>(rng.next_below(1000));
+    }
+    auto out = cx.template alloc<alg::i64>(n, "out");
+    cx.run(2 * n, [&] {
+      alg::gather(cx, alg::StridedView{idx.slice()},
+                  alg::StridedView{val.slice()},
+                  alg::StridedView{out.slice()}, n);
+    });
+  };
+}
+
+inline auto prog_listrank(size_t n) {
+  const auto succ = alg::random_list(n, n * 7 + 3);
+  return [n, succ](auto& cx) {
+    auto s = cx.template alloc<alg::i64>(n, "succ");
+    std::copy(succ.begin(), succ.end(), s.raw());
+    auto r = cx.template alloc<alg::i64>(n, "rank");
+    cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice()); });
+  };
+}
+
+inline auto prog_spms(size_t n) {
+  return [n](auto& cx) {
+    auto a = cx.template alloc<alg::i64>(n, "a");
+    Rng rng(n + 17);
+    for (size_t i = 0; i < n; ++i)
+      a.raw()[i] = static_cast<alg::i64>(rng.next() >> 1);
+    auto o = cx.template alloc<alg::i64>(n, "o");
+    cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
+  };
 }
 
 /// Limited-access assertion with an explicit bound (Def 2.4).

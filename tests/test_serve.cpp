@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ro/engine/fields.h"
+#include "ro/engine/workloads.h"
 #include "ro/serve/client.h"
 #include "ro/serve/server.h"
 #include "test_helpers.h"
@@ -490,6 +491,37 @@ TEST(WireInput, SegmentTasksAboveTheCapIsAnError) {
       "{\"workload\":\"msum\",\"backend\":\"sim-pws\","
       "\"segment_tasks\":1152921504606846976}",
       "segment_tasks");
+}
+
+TEST(WireInput, EmptyPrefixSumsIsAnError) {
+  // prefix_sums' RO_CHECK(a.n >= 1) aborted the daemon.
+  expect_wire_error(
+      "{\"workload\":\"ps\",\"backend\":\"sim-pws\",\"n\":0}", "\"ps\"");
+}
+
+TEST(WireInput, EveryIllegalWorkloadSizeIsAnError) {
+  // Each registry row's size rule, probed at n = 0, just below its
+  // minimum, just above its cap, and (on the pow2 / matrix rows) at n off
+  // the rule: every pair is a kError naming the workload and n.
+  for (const WorkloadRow& row : workload_rows()) {
+    std::set<uint64_t> bad = {0, row.min_n - 1, row.max_n + 1};
+    if (row.rule != SizeRule::kAny) bad.insert(12);  // not a power of two
+    if (row.rule == SizeRule::kSquarePow2) bad.insert(8);  // not a square
+    for (const uint64_t n : bad) {
+      JobSpec spec;
+      spec.workload = row.name;
+      spec.n = n;
+      spec.opt.backend = Backend::kSimPws;
+      const JobResult jr = ro::testing::engine().submit(spec);
+      EXPECT_EQ(jr.status, JobStatus::kError) << row.name << " n=" << n;
+      EXPECT_NE(jr.error.find("\"" + std::string(row.name) + "\""),
+                std::string::npos)
+          << jr.error;
+      EXPECT_NE(jr.error.find("got " + std::to_string(n)), std::string::npos)
+          << jr.error;
+      EXPECT_FALSE(make_workload(row.name, n, 0)) << row.name << " n=" << n;
+    }
+  }
 }
 
 TEST(JobSchema, NewerMajorIsRejectedWithReason) {

@@ -27,6 +27,9 @@ namespace ro {
 namespace {
 
 using alg::i64;
+using testing::prog_listrank;
+using testing::prog_route;
+using testing::prog_spms;
 
 Access rec(uint64_t i) {
   return Access{i * 3, i % 7 == 0 ? kNoAct : static_cast<uint32_t>(i % 5),
@@ -337,46 +340,6 @@ TEST(TraceStore, AsyncSpillWritesEverySealedSegment) {
 }
 
 // ---- streamed recording vs the in-memory recording ----
-
-/// The three trace families of the acceptance criteria.
-auto prog_route(size_t n) {
-  return [n](auto& cx) {
-    auto idx = cx.template alloc<i64>(n, "idx");
-    auto val = cx.template alloc<i64>(n, "val");
-    Rng rng(n * 31 + 5);
-    for (size_t i = 0; i < n; ++i) {
-      idx.raw()[i] = static_cast<i64>(rng.next_below(n));
-      val.raw()[i] = static_cast<i64>(rng.next_below(1000));
-    }
-    auto out = cx.template alloc<i64>(n, "out");
-    cx.run(2 * n, [&] {
-      alg::gather(cx, alg::StridedView{idx.slice()},
-                  alg::StridedView{val.slice()},
-                  alg::StridedView{out.slice()}, n);
-    });
-  };
-}
-
-auto prog_listrank(size_t n) {
-  const auto succ = alg::random_list(n, n * 7 + 3);
-  return [n, succ](auto& cx) {
-    auto s = cx.template alloc<i64>(n, "succ");
-    std::copy(succ.begin(), succ.end(), s.raw());
-    auto r = cx.template alloc<i64>(n, "rank");
-    cx.run(2 * n, [&] { alg::list_rank(cx, s.slice(), r.slice()); });
-  };
-}
-
-auto prog_spms(size_t n) {
-  return [n](auto& cx) {
-    auto a = cx.template alloc<i64>(n, "a");
-    Rng rng(n + 17);
-    for (size_t i = 0; i < n; ++i)
-      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
-    auto o = cx.template alloc<i64>(n, "o");
-    cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
-  };
-}
 
 StreamOptions tiny_stream(uint32_t window) {
   StreamOptions s;
