@@ -1,18 +1,18 @@
-// Batch pipeline bench: N workload instances recorded into N address
-// shards (in parallel), fused with merge_shards, and replayed against one
-// shared simulated machine — sequentially (--replay-threads=1) and with
-// host-parallel shard replay.  Demonstrates the two acceptance properties
-// of the sharded pipeline:
+// Batch bench: N workload instances, each recorded into its own address
+// shard and replayed on its own simulated machine, as one batch job — once
+// on one host thread (--replay-threads=1) and once on a host pool where
+// each shard is one record -> analyze -> replay chain.  Demonstrates the
+// two acceptance properties of the batch schedule:
 //
-//   * speedup:   multi-shard replay wall-clock beats the sequential replay
-//                of the same N traces (the table's last column);
-//   * exactness: the parallel replay's per-shard and aggregate Metrics are
-//                bit-identical to the sequential walk (RO_CHECK'd here, not
-//                just eyeballed).
+//   * speedup:   the pooled batch's wall-clock beats the one-thread batch
+//                of the same N programs (the table's last column);
+//   * exactness: the pooled batch's per-shard and aggregate Metrics are
+//                bit-identical to the one-thread batch (RO_CHECK'd here,
+//                not just eyeballed).
 //
 //   $ ./bench_batch [--shards=8] [--n=4096] [--p=8] [--M=4096] [--B=32]
 //                   [--replay-threads=0]   # 0 = hardware concurrency
-//                   [--replay-groups=0]    # partition replay workers into
+//                   [--replay-groups=0]    # partition host workers into
 //                                          # NUMA-style groups (0 = flat)
 //                   [--backends=sim-pws]   # any replay backend
 //                   [--out=BENCH_batch.json]
@@ -53,9 +53,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  Table t("Batch record/replay: N shards, one simulated machine");
-  t.header({"phase", "threads", "record-ms", "replay-ms", "total-ms",
-            "replay-speedup"});
+  // record-ms / replay-ms are busy times summed over shards (report.h).
+  Table t("Batch record/replay: N shards, one simulated machine each");
+  t.header({"schedule", "threads", "record-ms", "replay-ms", "wall-ms",
+            "speedup"});
 
   opt.sim.replay_threads = 1;
   const JobResult seq_jr = engine().submit(
@@ -68,9 +69,9 @@ int main(int argc, char** argv) {
   opt.sim.replay_threads = replay_threads;
   const uint32_t t_eff = replay_host_threads(replay_threads, shards);
   if (replay_groups > 0) {
-    // Group-partitioned replay host pool (same shape as the par-numa
-    // backends); a host knob — the RO_CHECKs below still require the
-    // metrics to match the flat sequential walk exactly.
+    // Group-partitioned host pool (same shape as the par-numa backends);
+    // a host knob — the RO_CHECKs below still require the metrics to
+    // match the one-thread batch exactly.
     opt.sim.replay_layout = rt::GroupLayout::contiguous(t_eff, replay_groups);
   }
   const JobResult par_jr = engine().submit(
@@ -79,13 +80,13 @@ int main(int argc, char** argv) {
   const BatchReport& par = par_jr.batch;
   char spd[32];
   std::snprintf(spd, sizeof spd, "%.2f",
-                par.replay_ms > 0 ? seq.replay_ms / par.replay_ms : 0.0);
-  t.row({"sharded", std::to_string(t_eff), Table::num(par.record_ms),
+                par.wall_ms > 0 ? seq.wall_ms / par.wall_ms : 0.0);
+  t.row({"pooled", std::to_string(t_eff), Table::num(par.record_ms),
          Table::num(par.replay_ms), Table::num(par.wall_ms), spd});
   t.print();
 
-  // Deterministic merge: the parallel replay must reproduce the sequential
-  // walk's metrics exactly, shard by shard and in aggregate.
+  // Deterministic merge: the pooled batch must reproduce the one-thread
+  // batch's metrics exactly, shard by shard and in aggregate.
   RO_CHECK_MSG(par.runs.size() == seq.runs.size(), "shard count drifted");
   for (size_t i = 0; i < par.runs.size(); ++i) {
     RO_CHECK_MSG(par.runs[i].sim == seq.runs[i].sim,

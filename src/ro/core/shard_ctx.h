@@ -6,12 +6,13 @@
 // address space, so N instances recorded through N ShardCtxs — sequentially
 // or on concurrent threads — produce traces whose global addresses can never
 // alias (vspace.h bit split).  The per-shard graphs then fuse via
-// merge_shards() and replay in parallel (sched/replay.h), which is the whole
-// record→replay pipeline of batch jobs (JobKind::kBatch).
+// merge_shards() and replay in parallel (sched/replay.h).  Batch jobs
+// (JobKind::kBatch) record shard i through a TraceCtx with Options::shard
+// = i, which lays out addresses exactly like ShardCtx(i).
 //
 // Two flavours:
 //   * ShardCtx(ssp, s)  — allocates in shard `s` of a shared ShardedVSpace
-//                         (the batch path: one registry for all instances);
+//                         (one registry for all instances);
 //   * ShardCtx(s)       — owns a private space based at shard_base(s)
 //                         (standalone recording of one tenant).
 #pragma once

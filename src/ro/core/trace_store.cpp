@@ -60,12 +60,6 @@ TraceStore::TraceStore(Options opt) : opt_(opt) {
 }
 
 TraceStore::~TraceStore() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    sealed_.store(true, std::memory_order_release);
-    cv_.notify_all();
-  }
-  if (spill_worker_.joinable()) spill_worker_.join();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -118,20 +112,11 @@ void TraceStore::append(const Access& a) {
 }
 
 void TraceStore::seal() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (sealed_.load(std::memory_order_relaxed)) return;
-    seal_open_locked();
-    sealed_.store(true, std::memory_order_release);
-    cv_.notify_all();
-  }
-  // The async worker drains every remaining sealed segment, then exits.
-  if (spill_worker_.joinable()) spill_worker_.join();
-  if (opt_.async_spill) {
-    // The last seals may have landed after the worker's final eviction.
-    std::lock_guard<std::mutex> lk(mu_);
-    evict_excess_locked();
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  if (sealed_.load(std::memory_order_relaxed)) return;
+  seal_open_locked();
+  sealed_.store(true, std::memory_order_release);
+  cv_.notify_all();
 }
 
 void TraceStore::seal_open_locked() {
@@ -141,11 +126,7 @@ void TraceStore::seal_open_locked() {
   entries_[seg].count = open_.size();
   insert_resident_locked(seg, make_slab(std::move(open_)));
   open_.clear();
-  if (opt_.async_spill && !spill_worker_.joinable()) {
-    spill_worker_ = std::thread([this] { spill_worker_main(); });
-  }
-  // The watermark moved: wake readers blocked on this segment and the
-  // spill worker.
+  // The watermark moved: wake readers blocked on this segment.
   cv_.notify_all();
 }
 
@@ -161,15 +142,7 @@ void TraceStore::evict_excess_locked() {
   if (opt_.max_resident_segments == 0) return;
   while (window_.size() > opt_.max_resident_segments) {
     const uint64_t seg = window_.front();
-    if (!entries_[seg].spilled) {
-      if (opt_.async_spill && !worker_done_) {
-        // Write-behind: the worker spills in seal order and evicts as it
-        // goes; the window may transiently overshoot until it catches up.
-        // Spilling here would race the worker's own pass over this seg.
-        break;
-      }
-      spill_locked(seg);
-    }
+    if (!entries_[seg].spilled) spill_locked(seg);
     window_.erase(window_.begin());
     // The strong ref is dropped, but a cursor pin may keep the buffer
     // alive; `pinned` lets segment() revive it without touching disk.
@@ -213,52 +186,6 @@ void TraceStore::spill_locked(uint64_t seg) {
   e.spilled = true;
 }
 
-void TraceStore::spill_worker_main() {
-  std::unique_lock<std::mutex> lk(mu_);
-  uint64_t next = 0;
-  while (true) {
-    cv_.wait(lk, [&] {
-      return next < entries_.size() ||
-             sealed_.load(std::memory_order_acquire);
-    });
-    if (next >= entries_.size()) {
-      worker_done_ = true;  // sealed and fully drained
-      break;
-    }
-    const uint64_t seg = next++;
-    SlabPtr slab = entries_[seg].resident;
-    RO_CHECK_MSG(slab != nullptr && !entries_[seg].spilled,
-                 "async spill raced segment eviction");
-    const uint64_t raw = slab->size() * sizeof(Access);
-    ensure_file_locked();
-    lk.unlock();
-    // Codec work runs outside the lock so the recorder's next seal (and
-    // pipelined readers) never wait on compression.
-    std::vector<uint8_t> enc;
-    const uint8_t* src = reinterpret_cast<const uint8_t*>(slab->data());
-    uint64_t nbytes = raw;
-    if (opt_.compress) {
-      encode_accesses(slab->data(), slab->size(), enc);
-      src = enc.data();
-      nbytes = enc.size();
-    }
-    lk.lock();
-    const uint64_t off = file_end_;
-    file_end_ += nbytes;
-    lk.unlock();
-    pwrite_full(fd_, src, nbytes, off);
-    lk.lock();
-    // entries_ may have grown (and reallocated) while unlocked.
-    Entry& e = entries_[seg];
-    e.file_off = off;
-    e.file_bytes = nbytes;
-    e.spilled = true;
-    spilled_bytes_ += raw;
-    compressed_bytes_ += nbytes;
-    evict_excess_locked();
-  }
-}
-
 TraceStore::SlabPtr TraceStore::load_segment_locked(uint64_t seg) {
   Entry& e = entries_[seg];
   RO_CHECK_MSG(e.spilled && fd_ >= 0, "evicted trace segment was not spilled");
@@ -278,7 +205,7 @@ TraceStore::SlabPtr TraceStore::load_segment_locked(uint64_t seg) {
 
 TraceStore::SlabPtr TraceStore::segment(uint64_t seg) {
   std::unique_lock<std::mutex> lk(mu_);
-  // The pipelining handoff: block until the recorder seals this segment
+  // The watermark handoff: block until the recorder seals this segment
   // (sealed segments are immutable) or seals the store.
   cv_.wait(lk, [&] {
     return seg < entries_.size() || sealed_.load(std::memory_order_acquire);

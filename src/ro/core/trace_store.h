@@ -20,22 +20,19 @@
 // the boundary transparently, which is what keeps the streaming replay
 // bit-identical to the in-memory walk (docs/streaming.md).
 //
-// Lifecycle and the pipelining seam: a single recorder thread append()s
-// and seal()s.  *Sealed* segments are immutable the moment the seal
-// happens, so readers do not have to wait for seal(): segment() blocks
-// on a condition variable until the requested segment seals (or the
-// store seals, whichever is first) — the sealed-segment watermark is the
-// producer/consumer handoff that record-while-replay pipelining
-// (RunOptions::pipeline) builds on.  After seal() the store is immutable
-// and any number of replay threads may read it concurrently (one mutex
-// serializes window bookkeeping and segment IO; cursors touch it only
-// when crossing a segment boundary).
-//
-// With `Options::async_spill`, a background worker consumes the same
-// watermark: it compresses and writes *every* sealed segment behind the
-// recorder (write-behind, so spilled/compressed byte counts are
-// deterministic) and performs window eviction, overlapping spill IO and
-// compression with recording.  The worker drains and joins at seal().
+// Lifecycle: a single recorder thread append()s and seal()s.  Spilling
+// is synchronous — a seal that pushes the window past its bound
+// compresses and writes the oldest resident segment on the recorder's
+// thread — so the store's byte counts and resident high-water depend
+// only on the trace and on the order readers fault segments.  *Sealed*
+// segments are immutable the moment the seal happens, so readers do not
+// have to wait for seal(): segment() blocks on a condition variable
+// until the requested segment seals (or the store seals, whichever is
+// first) — the sealed-segment watermark, a producer/consumer handoff a
+// reader on another thread can consume while recording continues.
+// After seal() the store is immutable and any number of replay threads
+// may read it concurrently (one mutex serializes window bookkeeping and
+// segment IO; cursors touch it only when crossing a segment boundary).
 #pragma once
 
 #include <atomic>
@@ -44,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ro/core/access.h"
@@ -71,13 +67,6 @@ class TraceStore {
     /// records are kept only while resident; reload decompresses into a
     /// pooled slab.  Off = the raw 16-byte on-disk layout.
     bool compress = true;
-    /// Background spill: a worker thread compresses and writes every
-    /// sealed segment behind the recorder (write-behind) and evicts the
-    /// window, overlapping spill IO with recording.  Implies that *all*
-    /// sealed segments reach disk even with an unbounded window, so
-    /// spilled/compressed byte counts stay deterministic under
-    /// pipelining.  The worker joins at seal().
-    bool async_spill = false;
   };
 
   struct Stats {
@@ -101,8 +90,7 @@ class TraceStore {
 
   void append(const Access& a);
 
-  /// Seals the open segment and freezes the store; idempotent.  Joins the
-  /// async spill worker (which drains every remaining sealed segment).
+  /// Seals the open segment and freezes the store; idempotent.
   void seal();
 
   // ---- read side (any thread; sealed segments readable mid-record) ----
@@ -125,7 +113,7 @@ class TraceStore {
   /// never invalidate each other — eviction only drops the *store's*
   /// reference, the pin keeps the segment alive until the cursor moves.
   /// A fault into a not-yet-sealed segment blocks until the recorder
-  /// seals it (the pipelining handoff); reading past the end of a sealed
+  /// seals it (the watermark handoff); reading past the end of a sealed
   /// store fails.
   class Cursor {
    public:
@@ -181,7 +169,6 @@ class TraceStore {
   SlabPtr segment(uint64_t seg);  // pin segment `seg`, loading if spilled
   SlabPtr load_segment_locked(uint64_t seg);
   void ensure_file_locked();
-  void spill_worker_main();
 
   Options opt_;
   std::shared_ptr<Shared> shared_ = std::make_shared<Shared>();
@@ -198,8 +185,6 @@ class TraceStore {
   uint64_t segment_loads_ = 0;
   uint64_t file_end_ = 0;           // append-only spill-file allocator
   int fd_ = -1;                     // anonymous spill file (lazy)
-  std::thread spill_worker_;        // async_spill consumer (lazy)
-  bool worker_done_ = false;        // worker drained and exited
 
   friend class Cursor;
 };

@@ -118,9 +118,9 @@ void fill_stream_stats(RunReport& r, const TaskGraph& g) {
     r.trace_segments += st.segments;
     r.trace_spilled_bytes += st.spilled_bytes;
     r.trace_compressed_bytes += st.compressed_bytes;
-    // Parts replay concurrently, so their peaks sum: the batch's resident
-    // bound is (window + open + pins) x live stores, and the report says
-    // so instead of hiding it behind a max.
+    // Parts (and a batch's shards) replay concurrently, so their peaks
+    // sum: the resident bound is (window + open + pins) x live stores, and
+    // the report says so instead of hiding it behind a max.
     r.trace_peak_resident_bytes += st.peak_resident_bytes;
   }
 }
@@ -163,106 +163,99 @@ void fill_replay(RunReport& r, const TaskGraph& g, Backend backend,
   }
 }
 
-BatchReport finish_batch(std::vector<TaskGraph> graphs, const RunOptions& opt,
-                         double record_ms,
-                         std::chrono::steady_clock::time_point t0) {
-  BatchReport br;
-  br.label = opt.label;
-  br.backend = opt.backend;
-  br.shards = static_cast<uint32_t>(graphs.size());
-  br.replay_threads = opt.sim.replay_threads;
-  br.record_ms = record_ms;
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-  std::vector<GraphStats> stats;
-  stats.reserve(graphs.size());
-  for (const TaskGraph& g : graphs) stats.push_back(g.analyze());
-  const TaskGraph merged = merge_shards(std::move(graphs));
+/// A program recorded into its address shard and analyzed: the first step
+/// of every trace job.
+struct Recorded {
+  TaskGraph g;
+  GraphStats stats;
+  double ms = 0;  // host time recording + analyzing
+};
 
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const auto tr0 = std::chrono::steady_clock::now();
-  // One combined unit set so the main pass and the p=1 baselines overlap
-  // on the pool (2 * shards units when the baseline is on).
-  std::vector<ReplayJob> jobs;
-  jobs.push_back(ReplayJob{&merged, kind, opt.sim});
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
-  if (with_baseline) {
-    jobs.push_back(ReplayJob{&merged, SchedKind::kSeq, opt.sim});
-  }
-  std::vector<std::vector<double>> unit_wall;
-  std::vector<std::vector<Metrics>> res =
-      simulate_shards_all(jobs, opt.sim.replay_threads, &unit_wall);
-  const std::vector<Metrics> per = std::move(res[0]);
-  const std::vector<Metrics> base =
-      with_baseline ? std::move(res[1]) : std::vector<Metrics>{};
-  br.replay_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - tr0)
-                     .count();
+Recorded record_analyzed(const AnyProg& prog, const RunOptions& opt,
+                         uint32_t shard) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Recorded rec;
+  rec.g = detail::record_graph(
+      prog, opt.trace.segment_tasks > 0 ? &opt.trace : nullptr, opt.padded,
+      opt.align_words, shard);
+  rec.stats = rec.g.analyze();
+  rec.ms = ms_since(t0);
+  return rec;
+}
 
-  br.runs.reserve(per.size());
-  for (size_t i = 0; i < per.size(); ++i) {
-    RunReport r;
-    r.label = opt.label + "#" + std::to_string(i);
-    r.backend = opt.backend;
-    r.has_graph = true;
-    r.graph = stats[i];
-    r.has_sim = true;
-    r.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-    r.M = opt.sim.M;
-    r.B = opt.sim.B;
-    r.sim = per[i];
-    if (opt.seq_baseline) {
-      const Metrics& seq = kind == SchedKind::kSeq ? per[i] : base[i];
-      r.has_baseline = true;
-      r.q_seq = seq.cache_misses();
-      r.seq_makespan = seq.makespan;
-      r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
-    }
-    if (merged.streaming()) {
-      const TraceStore::Stats st = merged.streams[i].store->stats();
-      r.has_stream = true;
-      r.trace_segments = st.segments;
-      r.trace_spilled_bytes = st.spilled_bytes;
-      r.trace_compressed_bytes = st.compressed_bytes;
-      r.trace_peak_resident_bytes = st.peak_resident_bytes;
-    }
-    // Host time spent replaying this shard (main walk + its baseline walk),
-    // so per-shard rows feed wall-clock tooling like any other RunReport.
-    r.wall_ms = unit_wall[0][i] + (with_baseline ? unit_wall[1][i] : 0.0);
-    br.runs.push_back(std::move(r));
-  }
+/// One trace job's report plus the host time of its two phases.
+struct TraceRun {
+  RunReport r;
+  double record_ms = 0;  // recording + analysis
+  double replay_ms = 0;  // main walk + p=1 baseline
+};
 
-  // Shard-order aggregate: summed recording stats + merged metrics.
+/// The trace job: records `prog` into address shard `shard`, analyzes it
+/// and replays it on opt.sim — the main walk plus, with seq_baseline, the
+/// p=1 baseline.  A run job is one call; a batch without capacity sharing
+/// is one call per shard, so each shard row equals the standalone run of
+/// its program at that shard.
+TraceRun run_trace(const AnyProg& prog, const RunOptions& opt,
+                   uint32_t shard) {
+  const auto t0 = std::chrono::steady_clock::now();
+  TraceRun t;
+  const Recorded rec = record_analyzed(prog, opt, shard);
+  t.record_ms = rec.ms;
+  RunReport& r = t.r;
+  r.label = opt.label;
+  r.backend = opt.backend;
+  r.has_graph = true;
+  r.graph = rec.stats;
+  const auto t1 = std::chrono::steady_clock::now();
+  fill_replay(r, rec.g, opt.backend, opt.sim, opt.seq_baseline);
+  t.replay_ms = ms_since(t1);
+  fill_stream_stats(r, rec.g);  // post-replay: loads included
+  r.wall_ms = ms_since(t0);
+  return t;
+}
+
+/// The aggregate every batch kind ends with: the rows' summed recording
+/// and store stats, `sim` as the machine's Metrics, and the p=1 baseline
+/// from the rows — their q_seq partition the baseline's misses and the
+/// baseline's makespan is their longest.
+void aggregate_batch(BatchReport& br, const RunOptions& opt, Metrics sim,
+                     std::chrono::steady_clock::time_point t0) {
   RunReport& agg = br.aggregate;
   agg.label = opt.label;
   agg.backend = opt.backend;
   agg.has_graph = true;
-  for (const GraphStats& st : stats) {
-    agg.graph.work += st.work;
-    agg.graph.span = std::max(agg.graph.span, st.span);
-    agg.graph.max_depth = std::max(agg.graph.max_depth, st.max_depth);
-    agg.graph.activations += st.activations;
-    agg.graph.accesses += st.accesses;
-    agg.graph.leaves += st.leaves;
+  for (const RunReport& r : br.runs) {
+    agg.graph.work += r.graph.work;
+    agg.graph.span = std::max(agg.graph.span, r.graph.span);
+    agg.graph.max_depth = std::max(agg.graph.max_depth, r.graph.max_depth);
+    agg.graph.activations += r.graph.activations;
+    agg.graph.accesses += r.graph.accesses;
+    agg.graph.leaves += r.graph.leaves;
+    agg.has_stream |= r.has_stream;
+    agg.trace_segments += r.trace_segments;
+    agg.trace_spilled_bytes += r.trace_spilled_bytes;
+    agg.trace_compressed_bytes += r.trace_compressed_bytes;
+    agg.trace_peak_resident_bytes += r.trace_peak_resident_bytes;
+    agg.q_seq += r.q_seq;
+    agg.seq_makespan = std::max(agg.seq_makespan, r.seq_makespan);
   }
+  const SchedKind kind = sched_kind_of(opt.backend);
   agg.has_sim = true;
   agg.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
   agg.M = opt.sim.M;
   agg.B = opt.sim.B;
-  agg.sim = merge_shard_metrics(per);
-  fill_stream_stats(agg, merged);
-  if (opt.seq_baseline) {
-    const Metrics seq =
-        kind == SchedKind::kSeq ? agg.sim : merge_shard_metrics(base);
-    agg.has_baseline = true;
-    agg.q_seq = seq.cache_misses();
-    agg.seq_makespan = seq.makespan;
+  agg.sim = std::move(sim);
+  agg.has_baseline = opt.seq_baseline;
+  if (opt.seq_baseline)
     agg.cache_excess = excess(agg.sim.cache_misses(), agg.q_seq);
-  }
-  br.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+  br.wall_ms = ms_since(t0);
   agg.wall_ms = br.wall_ms;
-  return br;
 }
 
 /// Capacity-shared batch (docs/serve.md): every shard replays on ONE
@@ -272,48 +265,39 @@ BatchReport finish_batch(std::vector<TaskGraph> graphs, const RunOptions& opt,
 /// of per-machine Metrics; the aggregate carries the machine.  The p=1
 /// baseline replays the same co-scheduled trace sequentially, so a
 /// tenant's q_seq share is its contention-free miss count and
-/// cache_excess is the capacity/coherence cost of sharing.
-BatchReport finish_batch_shared(std::vector<TaskGraph> graphs,
-                                const RunOptions& opt, double record_ms,
-                                std::chrono::steady_clock::time_point t0) {
-  BatchReport br;
-  br.label = opt.label;
-  br.backend = opt.backend;
-  br.shards = static_cast<uint32_t>(graphs.size());
-  br.replay_threads = opt.sim.replay_threads;
-  br.capacity_shared = true;
-  br.record_ms = record_ms;
-
-  std::vector<GraphStats> stats;
-  stats.reserve(graphs.size());
-  for (const TaskGraph& g : graphs) stats.push_back(g.analyze());
-  const TaskGraph merged = merge_shards(std::move(graphs));
-
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const auto tr0 = std::chrono::steady_clock::now();
-  std::vector<TenantShare> shares;
-  const Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
-  std::vector<TenantShare> base_shares;
-  Metrics base;
-  if (opt.seq_baseline) {
-    if (kind == SchedKind::kSeq) {
-      base = main;
-      base_shares = shares;
-    } else {
-      base = simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares);
-    }
-  }
-  br.replay_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - tr0)
-                     .count();
-
-  br.runs.reserve(shares.size());
-  for (size_t i = 0; i < shares.size(); ++i) {
-    RunReport r;
+/// cache_excess is the capacity/coherence cost of sharing.  Fills the
+/// rows and the aggregate's store stats; returns the machine's Metrics.
+Metrics replay_shared(BatchReport& br, std::vector<Recorded> recs,
+                      const RunOptions& opt) {
+  std::vector<TaskGraph> graphs;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    br.record_ms += recs[i].ms;
+    RunReport& r = br.runs[i];
     r.label = opt.label + "#" + std::to_string(i);
     r.backend = opt.backend;
     r.has_graph = true;
-    r.graph = stats[i];
+    r.graph = recs[i].stats;
+    graphs.push_back(std::move(recs[i].g));
+  }
+  const TaskGraph merged = merge_shards(std::move(graphs));
+
+  const SchedKind kind = sched_kind_of(opt.backend);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<TenantShare> shares, base_shares;
+  Metrics main = simulate_shared(merged, kind, opt.sim, &shares);
+  uint64_t base_makespan = main.makespan;
+  if (opt.seq_baseline) {
+    base_shares = shares;  // kSeq: the replay is its own baseline
+    if (kind != SchedKind::kSeq) {
+      base_makespan =
+          simulate_shared(merged, SchedKind::kSeq, opt.sim, &base_shares)
+              .makespan;
+    }
+  }
+  br.replay_ms = ms_since(t0);
+
+  for (size_t i = 0; i < shares.size(); ++i) {
+    RunReport& r = br.runs[i];
     r.has_tenant = true;
     r.tenant = r.label;
     r.tenant_compute = shares[i].compute;
@@ -323,186 +307,12 @@ BatchReport finish_batch_shared(std::vector<TaskGraph> graphs,
     if (opt.seq_baseline) {
       r.has_baseline = true;
       r.q_seq = base_shares[i].cache_misses;  // p=1: no coherence share
-      r.seq_makespan = base.makespan;         // machine-wide (co-scheduled)
+      r.seq_makespan = base_makespan;         // machine-wide (co-scheduled)
       r.cache_excess = excess(r.tenant_cache_misses, r.q_seq);
     }
-    br.runs.push_back(std::move(r));
   }
-
-  // The aggregate IS the machine: one shared simulator instance.
-  RunReport& agg = br.aggregate;
-  agg.label = opt.label;
-  agg.backend = opt.backend;
-  agg.has_graph = true;
-  for (const GraphStats& st : stats) {
-    agg.graph.work += st.work;
-    agg.graph.span = std::max(agg.graph.span, st.span);
-    agg.graph.max_depth = std::max(agg.graph.max_depth, st.max_depth);
-    agg.graph.activations += st.activations;
-    agg.graph.accesses += st.accesses;
-    agg.graph.leaves += st.leaves;
-  }
-  agg.has_sim = true;
-  agg.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-  agg.M = opt.sim.M;
-  agg.B = opt.sim.B;
-  agg.sim = main;
-  fill_stream_stats(agg, merged);
-  if (opt.seq_baseline) {
-    agg.has_baseline = true;
-    agg.q_seq = base.cache_misses();
-    agg.seq_makespan = base.makespan;
-    agg.cache_excess = excess(agg.sim.cache_misses(), agg.q_seq);
-  }
-  br.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  agg.wall_ms = br.wall_ms;
-  return br;
-}
-
-/// One shard's results from a pipelined batch chain (record -> analyze ->
-/// replay with no cross-shard barriers).
-struct BatchShard {
-  TaskGraph g;
-  GraphStats stats;
-  Metrics main;
-  Metrics base;           // p=1 baseline (valid when the batch asks for it)
-  double record_ms = 0;   // host time this chain spent recording
-  double replay_ms = 0;   // host time replaying (main + baseline)
-  double wall_ms = 0;     // the chain end to end (incl. analyze)
-};
-
-BatchReport finish_batch_pipelined(std::vector<BatchShard> sh,
-                                   const RunOptions& opt,
-                                   std::chrono::steady_clock::time_point t0) {
-  BatchReport br;
-  br.label = opt.label;
-  br.backend = opt.backend;
-  br.shards = static_cast<uint32_t>(sh.size());
-  br.replay_threads = opt.sim.replay_threads;
-  br.pipelined = true;
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
-
-  std::vector<Metrics> per, base;
-  per.reserve(sh.size());
-  base.reserve(sh.size());
-  br.runs.reserve(sh.size());
-  for (size_t i = 0; i < sh.size(); ++i) {
-    BatchShard& s = sh[i];
-    br.record_ms += s.record_ms;  // cumulative busy times: see report.h
-    br.replay_ms += s.replay_ms;
-    RunReport r;
-    r.label = opt.label + "#" + std::to_string(i);
-    r.backend = opt.backend;
-    r.has_graph = true;
-    r.graph = s.stats;
-    r.has_sim = true;
-    r.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-    r.M = opt.sim.M;
-    r.B = opt.sim.B;
-    r.sim = s.main;
-    if (opt.seq_baseline) {
-      const Metrics& seq = with_baseline ? s.base : s.main;
-      r.has_baseline = true;
-      r.q_seq = seq.cache_misses();
-      r.seq_makespan = seq.makespan;
-      r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
-    }
-    fill_stream_stats(r, s.g);
-    r.wall_ms = s.replay_ms;  // host time replaying this shard, as serial
-    per.push_back(s.main);
-    if (with_baseline) base.push_back(s.base);
-    br.runs.push_back(std::move(r));
-  }
-
-  // Shard-order aggregate — field for field what finish_batch emits, so
-  // serial and pipelined batches are comparable row by row.
-  RunReport& agg = br.aggregate;
-  agg.label = opt.label;
-  agg.backend = opt.backend;
-  agg.has_graph = true;
-  for (const BatchShard& s : sh) {
-    agg.graph.work += s.stats.work;
-    agg.graph.span = std::max(agg.graph.span, s.stats.span);
-    agg.graph.max_depth = std::max(agg.graph.max_depth, s.stats.max_depth);
-    agg.graph.activations += s.stats.activations;
-    agg.graph.accesses += s.stats.accesses;
-    agg.graph.leaves += s.stats.leaves;
-  }
-  agg.has_sim = true;
-  agg.p = kind == SchedKind::kSeq ? 1 : opt.sim.p;
-  agg.M = opt.sim.M;
-  agg.B = opt.sim.B;
-  agg.sim = merge_shard_metrics(per);
-  for (const BatchShard& s : sh) fill_stream_stats(agg, s.g);
-  if (opt.seq_baseline) {
-    const Metrics seq = with_baseline ? merge_shard_metrics(base) : agg.sim;
-    agg.has_baseline = true;
-    agg.q_seq = seq.cache_misses();
-    agg.seq_makespan = seq.makespan;
-    agg.cache_excess = excess(agg.sim.cache_misses(), agg.q_seq);
-  }
-  br.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  agg.wall_ms = br.wall_ms;
-  return br;
-}
-
-/// Pipelined batch: one independent record -> analyze -> replay chain per
-/// shard on a host pool, no phase barriers — shard i replays while shard j
-/// still records, and each shard's store compresses and spills behind its
-/// recorder (async_spill).  Replaying each shard's own single-shard graph
-/// is bit-identical to replaying its span of the merged graph (the PR3
-/// per-shard determinism guarantee), which is what makes skipping
-/// merge_shards sound.
-BatchReport run_batch_pipelined(const std::vector<AnyProg>& progs,
-                                const RunOptions& opt) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const uint32_t n = static_cast<uint32_t>(progs.size());
-  ShardedVSpace ssp(n, opt.align_words);
-  const SchedKind kind = sched_kind_of(opt.backend);
-  const bool with_baseline = opt.seq_baseline && kind != SchedKind::kSeq;
-  std::vector<BatchShard> sh(n);
-  auto chain = [&](size_t i) {
-    const auto c0 = std::chrono::steady_clock::now();
-    TraceCtx::Options topt;
-    topt.padded = opt.padded;
-    if (opt.trace.segment_tasks > 0) {
-      TraceStore::Options so = opt.trace.store_options();
-      so.async_spill = true;  // spill/compress behind this recorder
-      topt.store = std::make_shared<TraceStore>(so);
-    }
-    ShardCtx cx(ssp, static_cast<uint32_t>(i), topt);
-    detail::EngineCtx<TraceCtx> ec(cx);
-    progs[i](ec);
-    sh[i].g = std::move(ec.graph());
-    const auto c1 = std::chrono::steady_clock::now();
-    sh[i].stats = sh[i].g.analyze();
-    const auto c2 = std::chrono::steady_clock::now();
-    SimConfig scfg = opt.sim;
-    scfg.replay_threads = 1;  // the chain is the unit of parallelism
-    sh[i].main = simulate(sh[i].g, kind, scfg);
-    if (with_baseline) {
-      sh[i].base = simulate(sh[i].g, SchedKind::kSeq, scfg);
-    }
-    const auto c3 = std::chrono::steady_clock::now();
-    sh[i].record_ms =
-        std::chrono::duration<double, std::milli>(c1 - c0).count();
-    sh[i].replay_ms =
-        std::chrono::duration<double, std::milli>(c3 - c2).count();
-    sh[i].wall_ms = std::chrono::duration<double, std::milli>(c3 - c0).count();
-  };
-  const uint32_t threads = replay_host_threads(opt.sim.replay_threads, n);
-  if (threads <= 1) {
-    for (uint32_t i = 0; i < n; ++i) chain(i);
-  } else {
-    rt::Pool pool(threads, rt::StealPolicy::kRandom);
-    rt::parallel_index(pool, n, chain);
-  }
-  return finish_batch_pipelined(std::move(sh), opt, t0);
+  fill_stream_stats(br.aggregate, merged);
+  return main;
 }
 
 JobResult start_result(uint64_t id, const JobSpec& spec) {
@@ -539,17 +349,12 @@ std::string spec_error(const JobSpec& spec) {
   return "";
 }
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 }  // namespace
 
-TaskGraph Engine::record_graph(const AnyProg& prog,
-                               const StreamOptions* stream, bool padded,
-                               uint64_t align_words, uint32_t shard) {
+namespace detail {
+
+TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
+                       bool padded, uint64_t align_words, uint32_t shard) {
   TraceCtx::Options topt;
   topt.padded = padded;
   topt.align_words = align_words;
@@ -562,6 +367,8 @@ TaskGraph Engine::record_graph(const AnyProg& prog,
   prog(ec);
   return std::move(ec.graph());
 }
+
+}  // namespace detail
 
 RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
   RunReport r;
@@ -576,29 +383,8 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
       break;
     }
     case Backend::kSimPws:
-    case Backend::kSimRws: {
-      StreamOptions st = opt.trace;
-      if (opt.pipeline) st.async_spill = true;  // spill behind recording
-      const TaskGraph g =
-          record_graph(prog, st.segment_tasks > 0 ? &st : nullptr, opt.padded,
-                       opt.align_words, opt.shard);
-      GraphStats gs;
-      if (opt.pipeline) {
-        // The analysis pass is a full walk of the stream; overlap it
-        // with the replay walks (all read-only on the sealed store):
-        // wall = record + max(analyze, replay) instead of their sum.
-        std::thread analyzer([&] { gs = g.analyze(); });
-        fill_replay(r, g, opt.backend, opt.sim, opt.seq_baseline);
-        analyzer.join();
-      } else {
-        gs = g.analyze();
-        fill_replay(r, g, opt.backend, opt.sim, opt.seq_baseline);
-      }
-      r.has_graph = true;
-      r.graph = gs;
-      fill_stream_stats(r, g);  // post-replay: loads included
-      break;
-    }
+    case Backend::kSimRws:
+      return run_trace(prog, opt, opt.shard).r;
     case Backend::kParRandom:
     case Backend::kParPriority:
     case Backend::kParNumaRandom:
@@ -637,41 +423,49 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
 
 BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
                                   const RunOptions& opt) {
-  // Capacity sharing needs the merged co-scheduled trace, so it takes the
-  // serial record path even when pipelining is requested.
-  if (opt.pipeline && !opt.capacity_shared) {
-    return run_batch_pipelined(progs, opt);
-  }
   const auto t0 = std::chrono::steady_clock::now();
-  const uint32_t n = static_cast<uint32_t>(progs.size());
-  ShardedVSpace ssp(n, opt.align_words);
-  std::vector<TaskGraph> graphs(n);
-  auto record_one = [&](size_t i) {
-    TraceCtx::Options topt;
-    topt.padded = opt.padded;
-    if (opt.trace.segment_tasks > 0) {
-      // One chunked store per shard: shards spill and stream
-      // independently, so the batch's resident bound scales with the
-      // window x live recorders, not with the trace.
-      topt.store = std::make_shared<TraceStore>(opt.trace.store_options());
-    }
-    ShardCtx cx(ssp, static_cast<uint32_t>(i), topt);
-    detail::EngineCtx<TraceCtx> ec(cx);
-    progs[i](ec);
-    graphs[i] = std::move(ec.graph());
-  };
-  const uint32_t rec_threads = replay_host_threads(opt.sim.replay_threads, n);
-  if (rec_threads <= 1) {
-    for (uint32_t i = 0; i < n; ++i) record_one(i);
-  } else {
-    rt::Pool pool(rec_threads, rt::StealPolicy::kRandom);
-    rt::parallel_index(pool, n, record_one);
-  }
-  const double record_ms = ms_since(t0);
+  const size_t n = progs.size();
+  BatchReport br;
+  br.label = opt.label;
+  br.backend = opt.backend;
+  br.shards = static_cast<uint32_t>(n);
+  br.replay_threads = opt.sim.replay_threads;
+  br.capacity_shared = opt.capacity_shared;
+  br.runs.resize(n);
+
   if (opt.capacity_shared) {
-    return finish_batch_shared(std::move(graphs), opt, record_ms, t0);
+    // The shared machine walks the merged trace, so only the record +
+    // analyze step runs per shard on the pool.
+    std::vector<Recorded> recs(n);
+    replay_parallel_for(opt.sim.replay_threads, opt.sim, n, [&](size_t i) {
+      recs[i] = record_analyzed(progs[i], opt, static_cast<uint32_t>(i));
+    });
+    Metrics sim = replay_shared(br, std::move(recs), opt);
+    aggregate_batch(br, opt, std::move(sim), t0);
+    return br;
   }
-  return finish_batch(std::move(graphs), opt, record_ms, t0);
+
+  // Every shard is its own simulated machine, so each is one independent
+  // trace job on the host pool: shard i replays while shard j records.  A
+  // lone chain keeps replay_threads for its two walks; parallel chains
+  // walk sequentially (pools do not nest).
+  RunOptions sopt = opt;
+  if (replay_host_threads(opt.sim.replay_threads, n) > 1)
+    sopt.sim.replay_threads = 1;
+  std::vector<TraceRun> runs(n);
+  replay_parallel_for(opt.sim.replay_threads, opt.sim, n, [&](size_t i) {
+    runs[i] = run_trace(progs[i], sopt, static_cast<uint32_t>(i));
+  });
+  std::vector<Metrics> per;
+  for (size_t i = 0; i < n; ++i) {
+    br.record_ms += runs[i].record_ms;
+    br.replay_ms += runs[i].replay_ms;
+    per.push_back(runs[i].r.sim);
+    br.runs[i] = std::move(runs[i].r);
+    br.runs[i].label = opt.label + "#" + std::to_string(i);
+  }
+  aggregate_batch(br, opt, merge_shard_metrics(per), t0);
+  return br;
 }
 
 JobResult Engine::submit(const JobSpec& spec) {
@@ -710,10 +504,10 @@ JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
   if (spec.kind == JobKind::kRun) {
     jr.report = run_one(prog, spec.opt);
   } else {  // kDiagnose: record here, then run the doctor loop
-    StreamOptions st = spec.opt.trace;
-    const TaskGraph g =
-        record_graph(prog, st.segment_tasks > 0 ? &st : nullptr,
-                     spec.opt.padded, spec.opt.align_words, spec.opt.shard);
+    const RunOptions& opt = spec.opt;
+    const TaskGraph g = detail::record_graph(
+        prog, opt.trace.segment_tasks > 0 ? &opt.trace : nullptr, opt.padded,
+        opt.align_words, opt.shard);
     jr.doctor = diagnose(g, spec.opt.backend, spec.opt.sim, spec.doc,
                          spec.opt.label);
     jr.has_doctor = true;

@@ -100,6 +100,12 @@ class TuningGate {
   alg::SpmsTuning base_{};    // process default snapshotted at group start
 };
 
+/// The recording core of every trace path: executes `prog` through a
+/// fresh TraceCtx into address shard `shard` and returns the raw graph,
+/// not yet analyzed.  `stream` non-null selects the chunked TraceStore.
+TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
+                       bool padded, uint64_t align_words, uint32_t shard);
+
 }  // namespace detail
 
 class Engine {
@@ -138,8 +144,8 @@ class Engine {
   Recording record(Prog&& prog, bool padded = false,
                    uint64_t align_words = 4096, uint32_t shard = 0) {
     Recording rec;
-    rec.graph = record_graph(AnyProg(std::forward<Prog>(prog)), nullptr,
-                             padded, align_words, shard);
+    rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
+                                     nullptr, padded, align_words, shard);
     rec.stats = rec.graph.analyze();
     return rec;
   }
@@ -157,8 +163,8 @@ class Engine {
     RO_CHECK_MSG(stream.segment_tasks > 0,
                  "record_stream needs a trace segment capacity");
     Recording rec;
-    rec.graph = record_graph(AnyProg(std::forward<Prog>(prog)), &stream,
-                             padded, align_words, shard);
+    rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
+                                     &stream, padded, align_words, shard);
     rec.stats = rec.graph.analyze();
     return rec;
   }
@@ -210,18 +216,13 @@ class Engine {
   }
 
  private:
-  /// Shared recording core of record / record_stream / submit: executes
-  /// `prog` through a fresh TraceCtx and returns the raw graph *without*
-  /// analyzing it, so pipelined callers can overlap the analysis pass
-  /// with replay.  `stream` non-null selects the chunked TraceStore.
-  TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
-                         bool padded, uint64_t align_words, uint32_t shard);
-
   /// kRun execution core: dispatches on the backend, drives record/replay
   /// or a leased pool, fills the report.
   RunReport run_one(const AnyProg& prog, const RunOptions& opt);
 
-  /// kBatch execution core: serial, pipelined, or capacity-shared path.
+  /// kBatch execution core: one record -> analyze -> replay chain per
+  /// shard, or, capacity-shared, per-shard record + analyze and one
+  /// shared replay of the merged trace.
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 

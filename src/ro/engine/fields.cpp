@@ -41,7 +41,6 @@ const Field<JobSpec> kJobFields[] = {
     ROW("padded", opt.padded),
     ROW("align_words", opt.align_words, 1, kMaxAlignWords, Rule::kPow2),
     ROW("seq_baseline", opt.seq_baseline),
-    ROW("pipeline", opt.pipeline),
     ROW("capacity_shared", opt.capacity_shared),
     ROW("segment_tasks", opt.trace.segment_tasks, 0, kMaxSegmentTasks),
     ROW("max_resident_segments", opt.trace.max_resident_segments),

@@ -28,9 +28,6 @@ struct StreamOptions {
   std::string spill_dir;               // "" = the system temp directory
   bool compress = true;                // delta/varint-encode spilled
                                        // segments (trace_codec.h)
-  bool async_spill = false;            // background seal->compress->spill
-                                       // worker (RunOptions::pipeline
-                                       // turns this on automatically)
 
   TraceStore::Options store_options() const {
     TraceStore::Options o;
@@ -38,7 +35,6 @@ struct StreamOptions {
     o.max_resident_segments = max_resident_segments;
     o.spill_dir = spill_dir;
     o.compress = compress;
-    o.async_spill = async_spill;
     return o;
   }
 };
@@ -56,17 +52,6 @@ struct RunOptions {
   uint32_t shard = 0;           // address shard to record into (vspace.h)
   bool seq_baseline = true;     // also replay at p=1 for Q(n,M,B) + excess
   StreamOptions trace;          // streaming trace pipeline (off by default)
-  // Record-while-replay pipelining.  A kRun job overlaps the stream
-  // analysis pass with the replay walks and spills/compresses trace
-  // segments behind the recorder (TraceStore async_spill), so the wall
-  // clock approaches record + max(analyze, replay) instead of their sum.
-  // Batch submissions turn each shard into an independent
-  // record -> analyze -> replay chain with no phase barriers: shard 0
-  // replays while shard 1 is still recording.  Metrics stay bit-identical
-  // to the serial pipeline (asserted in tests/test_stream.cpp); only
-  // trace_peak_resident_bytes becomes timing-dependent, since spilling
-  // and replay reloads now overlap.
-  bool pipeline = false;
 
   // ---- batch submissions only ----
   // Capacity-shared multi-tenant replay (docs/serve.md): instead of one
@@ -74,7 +59,8 @@ struct RunOptions {
   // machine — shared cores, caches and coherence directory — with
   // per-tenant miss/transfer attribution in the per-shard reports.  The
   // interesting service scenario: co-admitted tenants contending for one
-  // cache.  Implies the serial (non-pipelined) batch path.
+  // cache.  Shards still record and analyze in parallel; only the replay
+  // waits for all of them, since it walks their merged trace.
   bool capacity_shared = false;
 
   // ---- parallel backends ----

@@ -263,7 +263,6 @@ std::string BatchReport::to_json() const {
   kv_str(s, "backend", backend_name(backend));
   kv(s, "shards", static_cast<uint64_t>(shards));
   kv(s, "replay_threads", static_cast<uint64_t>(replay_threads));
-  kv(s, "pipelined", static_cast<uint64_t>(pipelined ? 1 : 0));
   kv(s, "capacity_shared", static_cast<uint64_t>(capacity_shared ? 1 : 0));
   kv(s, "wall_ms", wall_ms);
   kv(s, "record_ms", record_ms);
@@ -291,7 +290,6 @@ bool batch_from_json(const std::string& text, BatchReport& out) {
     } else if (k == "shards") out.shards = static_cast<uint32_t>(as_u64(v));
     else if (k == "replay_threads")
       out.replay_threads = static_cast<uint32_t>(as_u64(v));
-    else if (k == "pipelined") out.pipelined = as_u64(v) != 0;
     else if (k == "capacity_shared") out.capacity_shared = as_u64(v) != 0;
     else if (k == "wall_ms") out.wall_ms = json::as_double(v);
     else if (k == "record_ms") out.record_ms = json::as_double(v);

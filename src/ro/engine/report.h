@@ -141,14 +141,13 @@ struct BatchReport {
   Backend backend = Backend::kSimPws;
   uint32_t shards = 0;
   uint32_t replay_threads = 1;  // requested host parallelism (0 = auto)
-  bool pipelined = false;       // RunOptions::pipeline was on
   bool capacity_shared = false; // one shared simulated machine for all
                                 // shards (RunOptions::capacity_shared)
-  double wall_ms = 0;           // record + merge + replay, end to end
-  // Phase timings.  Serial batches: wall clock of the record / replay
-  // phases.  Pipelined batches have no phase barriers, so these are the
-  // cumulative per-shard busy times instead (their sum can exceed
-  // wall_ms — that overlap is the point).
+  double wall_ms = 0;           // the whole batch, end to end
+  // Busy times, summed over shards: record_ms is each shard's recording
+  // plus analysis, replay_ms its main walk plus p=1 baseline (the one
+  // shared replay when capacity_shared).  Shards run concurrently, so
+  // record_ms + replay_ms can exceed wall_ms.
   double record_ms = 0;
   double replay_ms = 0;
 

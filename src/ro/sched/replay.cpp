@@ -1,6 +1,5 @@
 #include "ro/sched/replay.h"
 
-#include <chrono>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -747,16 +746,9 @@ rt::Pool make_replay_pool(uint32_t threads, const SimConfig& cfg) {
 /// Runs every unit (results indexed like `units`), on `threads` host
 /// workers when that buys anything.  Each unit is a fully sequential
 /// ShardReplayer walk, so the assignment of units to threads cannot change
-/// any unit's Metrics — only the wall clock.  `wall_ms`, when non-null, is
-/// resized and filled with each unit's host replay time.
-///
-/// The pool is created per call on purpose: Pool::run is not reentrant, so
-/// a cached shared pool would break under concurrent simulate() callers,
-/// and the spawn cost (~tens of µs) is noise next to any replay worth
-/// parallelizing.
+/// any unit's Metrics — only the wall clock.
 std::vector<Metrics> run_units(std::vector<Unit> units,
-                               uint32_t replay_threads,
-                               std::vector<double>* wall_ms) {
+                               uint32_t replay_threads) {
   // Concurrent units must not share a caller-provided ContentionProfile:
   // each profiled unit records into its own local, merged back below in
   // unit (= job, then shard) order after the barrier.  The merge itself is
@@ -771,22 +763,9 @@ std::vector<Metrics> run_units(std::vector<Unit> units,
     }
   }
   std::vector<Metrics> out(units.size());
-  if (wall_ms) wall_ms->assign(units.size(), 0.0);
-  auto run_one = [&](size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    out[i] = run_unit(units[i]);
-    if (wall_ms) {
-      (*wall_ms)[i] = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    }
-  };
-  const uint32_t t = replay_host_threads(replay_threads, units.size());
-  if (t <= 1 || units.size() <= 1) {
-    for (size_t i = 0; i < units.size(); ++i) run_one(i);
-  } else {
-    rt::Pool pool = make_replay_pool(t, units[0].cfg);
-    rt::parallel_index(pool, units.size(), run_one);
+  if (!units.empty()) {
+    replay_parallel_for(replay_threads, units[0].cfg, units.size(),
+                        [&](size_t i) { out[i] = run_unit(units[i]); });
   }
   for (size_t i = 0; i < units.size(); ++i) {
     if (sink[i] != nullptr) sink[i]->merge(local[i]);
@@ -821,9 +800,23 @@ uint32_t replay_host_threads(uint32_t requested, size_t units) {
   return static_cast<uint32_t>(std::min<size_t>(t, units));
 }
 
+void replay_parallel_for(uint32_t threads, const SimConfig& cfg, size_t n,
+                         const std::function<void(size_t)>& fn) {
+  // A pool per call on purpose: a cached shared pool would break under
+  // concurrent callers, and the spawn cost (~tens of µs) is noise next to
+  // any replay worth parallelizing.
+  const uint32_t t = replay_host_threads(threads, n);
+  if (t <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  rt::Pool pool = make_replay_pool(t, cfg);
+  rt::parallel_index(pool, n, fn);
+}
+
 std::vector<Metrics> simulate_shards(const TaskGraph& g, SchedKind kind,
                                      const SimConfig& cfg) {
-  return run_units(units_of(g, kind, cfg, 0), cfg.replay_threads, nullptr);
+  return run_units(units_of(g, kind, cfg, 0), cfg.replay_threads);
 }
 
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
@@ -857,32 +850,20 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
       .run();
 }
 
-std::vector<std::vector<Metrics>> simulate_shards_all(
-    const std::vector<ReplayJob>& jobs, uint32_t threads,
-    std::vector<std::vector<double>>* wall_ms) {
+std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
+                                  uint32_t threads) {
   std::vector<Unit> units;
   for (size_t j = 0; j < jobs.size(); ++j) {
     auto ju = units_of(*jobs[j].g, jobs[j].kind, jobs[j].cfg,
                        static_cast<uint32_t>(j));
     units.insert(units.end(), ju.begin(), ju.end());
   }
-  std::vector<double> unit_wall;
-  std::vector<Metrics> per_unit =
-      run_units(units, threads, wall_ms ? &unit_wall : nullptr);
+  std::vector<Metrics> per_unit = run_units(units, threads);
   std::vector<std::vector<Metrics>> grouped(jobs.size());
-  if (wall_ms) wall_ms->assign(jobs.size(), {});
   for (size_t i = 0; i < units.size(); ++i) {
     grouped[units[i].job].push_back(
         std::move(per_unit[i]));  // unit order == shard order
-    if (wall_ms) (*wall_ms)[units[i].job].push_back(unit_wall[i]);
   }
-  return grouped;
-}
-
-std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
-                                  uint32_t threads) {
-  std::vector<std::vector<Metrics>> grouped =
-      simulate_shards_all(jobs, threads);
   std::vector<Metrics> out(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     out[j] = grouped[j].size() == 1 ? std::move(grouped[j][0])

@@ -40,22 +40,22 @@
 // merge order is the determinism guarantee: any replay_threads value
 // (including 1, the plain sequential walk) yields bit-identical Metrics.
 //
-// ## Record-while-replay pipelining
+// ## Batch schedule
 //
 // The replayer never needs the whole trace up front: its stream cursors
-// fault one sealed TraceStore segment at a time, and TraceStore lets a
-// fault *block on the seal watermark* until the recorder seals that
-// segment (trace_store.h).  Within one shard the walk still has to wait
-// for recording to finish — start_act charges the activation's
-// frame_words, which the recorder only knows at the activation's end —
-// so Engine-level pipelining (RunOptions::pipeline) overlaps at coarser
-// grain instead: per-shard record -> analyze -> replay chains in batch
-// jobs (shard i replays while shard j records) and an analyze-vs-replay
-// overlap plus write-behind segment spilling in run jobs.
-// Metrics are unaffected: every walk consumes the same sealed records.
+// fault one sealed TraceStore segment at a time, and a fault into a
+// segment the recorder has not sealed yet blocks on the seal watermark
+// (trace_store.h).  Within one shard the walk still has to wait for
+// recording to finish — start_act charges the activation's frame_words,
+// which the recorder only knows at the activation's end — so the Engine
+// overlaps at coarser grain: each shard of a batch is one
+// record -> analyze -> replay chain on a host pool, and shard i replays
+// while shard j still records.  Metrics are unaffected: every walk
+// consumes the same sealed records.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ro/core/graph.h"
@@ -180,25 +180,25 @@ struct ReplayJob {
 
 /// Replays all jobs — each expanded into its shard units — on up to
 /// `threads` pool workers; results in job order, each bit-identical to a
-/// sequential simulate() of that job.  threads semantics match
-/// SimConfig::replay_threads.
+/// sequential simulate() of that job.  All units of all jobs share one
+/// pool (configured from the first job's replay_layout/replay_pin), so
+/// e.g. a replay and its p = 1 baseline overlap.  threads semantics
+/// match SimConfig::replay_threads.
 std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
                                   uint32_t threads);
-
-/// Like simulate_all but without the per-job merge: result[j][s] is the
-/// Metrics of job j's s-th shard span.  All units of all jobs share one
-/// pool (configured from the first job's replay_layout/replay_pin), so
-/// e.g. a batch's main replay and its p=1 baselines overlap.
-/// When `wall_ms` is non-null it receives the host time each unit spent
-/// replaying (same indexing), for per-shard reporting.
-std::vector<std::vector<Metrics>> simulate_shards_all(
-    const std::vector<ReplayJob>& jobs, uint32_t threads,
-    std::vector<std::vector<double>>* wall_ms = nullptr);
 
 /// Resolves a replay_threads request against a unit count: 0 = hardware
 /// concurrency, then clamped to `units` (shared by the parallel record and
 /// replay phases so both scale the same way).
 uint32_t replay_host_threads(uint32_t requested, size_t units);
+
+/// Runs fn(0) .. fn(n - 1) on the host replay pool: replay_host_threads(
+/// threads, n) workers, grouped per cfg.replay_layout / replay_pin, or
+/// inline when that is one worker.  fn must only write per-index state.
+/// The pool is created per call: Pool::run is not reentrant, so a fn that
+/// itself fans out must do so with threads = 1.
+void replay_parallel_for(uint32_t threads, const SimConfig& cfg, size_t n,
+                         const std::function<void(size_t)>& fn);
 
 const char* sched_name(SchedKind k);
 

@@ -189,26 +189,30 @@ TEST(JobSchema, NewerMinorWithUnknownKeysParses) {
   EXPECT_EQ(out.schema_version, "1.7");  // echoed, not rewritten
 }
 
-TEST(JobSchema, RetiredFlatLruKeyIsIgnored) {
-  // "flat_lru" selected the retired node-based LRU data plane.  A schema
-  // 1.x spec still carrying it parses, drops it, and runs the same machine.
+TEST(JobSchema, RetiredKeysAreIgnored) {
+  // "flat_lru" selected the retired node-based LRU data plane, "pipeline"
+  // the retired choice of batch schedule.  A schema 1.x spec still
+  // carrying either parses, drops it, and runs the same machine.
   const std::string plain =
       "{\"schema_version\":\"1.0\",\"workload\":\"msum\",\"n\":1024,"
       "\"backend\":\"sim-pws\"}";
-  std::string keyed = plain;
-  keyed.insert(keyed.size() - 1, ",\"flat_lru\":0");
-  JobSpec a, b;
+  JobSpec a;
   std::string err;
   ASSERT_TRUE(jobspec_from_json(plain, a, &err)) << err;
-  ASSERT_TRUE(jobspec_from_json(keyed, b, &err)) << err;
-  EXPECT_EQ(b.to_json(), a.to_json());
-  EXPECT_EQ(b.to_json().find("flat_lru"), std::string::npos);
   const JobResult ja = ro::testing::engine().submit(a);
-  const JobResult jb = ro::testing::engine().submit(b);
   ASSERT_TRUE(ja.ok()) << ja.error;
-  ASSERT_TRUE(jb.ok()) << jb.error;
-  EXPECT_EQ(jb.report.sim, ja.report.sim);
-  EXPECT_EQ(jb.report.q_seq, ja.report.q_seq);
+  for (const std::string key : {"flat_lru", "pipeline"}) {
+    std::string keyed = plain;
+    keyed.insert(keyed.size() - 1, ",\"" + key + "\":1");
+    JobSpec b;
+    ASSERT_TRUE(jobspec_from_json(keyed, b, &err)) << err;
+    EXPECT_EQ(b.to_json(), a.to_json()) << key;
+    EXPECT_EQ(b.to_json().find(key), std::string::npos) << key;
+    const JobResult jb = ro::testing::engine().submit(b);
+    ASSERT_TRUE(jb.ok()) << jb.error;
+    EXPECT_EQ(jb.report.sim, ja.report.sim) << key;
+    EXPECT_EQ(jb.report.q_seq, ja.report.q_seq) << key;
+  }
 }
 
 TEST(JobSchema, ValuesAboveU32AreRejectedNamingTheKey) {
@@ -257,7 +261,7 @@ TEST(JobSchema, DefaultSpecJsonIsByteIdenticalToSchema10) {
             "\"miss_latency\":32,\"steal_latency\":0,\"sim_seed\":24301,"
             "\"M2\":0,\"l2_latency\":8,\"write_hold\":0,"
             "\"replay_threads\":1,\"padded\":0,\"align_words\":4096,"
-            "\"seq_baseline\":1,\"pipeline\":0,\"capacity_shared\":0,"
+            "\"seq_baseline\":1,\"capacity_shared\":0,"
             "\"segment_tasks\":0,\"max_resident_segments\":4,\"compress\":1,"
             "\"threads\":0,\"serial_below\":4096,\"numa_groups\":0,"
             "\"numa_escape\":0.0625,\"numa_pin\":0,\"doc_max_lines\":64,"
@@ -570,6 +574,11 @@ TEST(JobSchema, BatchReportRoundTrips) {
   ASSERT_TRUE(batch_from_json(jr.batch.to_json(), back));
   EXPECT_EQ(back.to_json(), jr.batch.to_json());
   EXPECT_TRUE(back.capacity_shared);
+  // Older writers emitted the retired "pipelined" flag; it is skipped.
+  std::string old = jr.batch.to_json();
+  old.insert(old.find(",\"capacity_shared\""), ",\"pipelined\":1");
+  ASSERT_TRUE(batch_from_json(old, back));
+  EXPECT_EQ(back.to_json(), jr.batch.to_json());
 }
 
 // ---- the wire protocol ----

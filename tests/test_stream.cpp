@@ -287,7 +287,7 @@ TEST(TraceStore, RawModeSpillsSixteenBytesPerRecord) {
   for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(cur.at(i), rec(i)) << i;
 }
 
-// ---- the sealed-segment watermark and write-behind spilling ----
+// ---- the sealed-segment watermark ----
 
 TEST(TraceStore, ReaderConsumesSealedSegmentsWhileRecording) {
   TraceStore::Options opt;
@@ -310,33 +310,6 @@ TEST(TraceStore, ReaderConsumesSealedSegmentsWhileRecording) {
   writer.join();
   EXPECT_EQ(st.sealed_segment_count(), n / opt.segment_tasks);
   EXPECT_TRUE(st.sealed());
-}
-
-TEST(TraceStore, AsyncSpillWritesEverySealedSegment) {
-  TraceStore::Options opt;
-  opt.segment_tasks = 8;
-  opt.max_resident_segments = 2;
-  opt.async_spill = true;
-  const uint64_t n = 100;  // 12 full segments + a 4-record tail
-  auto fill = [&] {
-    TraceStore st(opt);
-    for (uint64_t i = 0; i < n; ++i) st.append(rec(i));
-    st.seal();
-    TraceStore::Cursor cur(st);
-    for (uint64_t i = 0; i < n; ++i) EXPECT_EQ(cur.at(i), rec(i)) << i;
-    return st.stats();
-  };
-  const TraceStore::Stats s = fill();
-  // Write-behind: every sealed record reaches disk exactly once, so the
-  // byte counts are deterministic despite the background worker...
-  EXPECT_EQ(s.spilled_bytes, n * sizeof(Access));
-  EXPECT_GT(s.compressed_bytes, 0u);
-  EXPECT_LT(s.compressed_bytes, s.spilled_bytes);
-  EXPECT_EQ(s.sealed_segments, (n + opt.segment_tasks - 1) / opt.segment_tasks);
-  // ...run to run.
-  const TraceStore::Stats t = fill();
-  EXPECT_EQ(t.spilled_bytes, s.spilled_bytes);
-  EXPECT_EQ(t.compressed_bytes, s.compressed_bytes);
 }
 
 // ---- streamed recording vs the in-memory recording ----
@@ -480,146 +453,69 @@ TEST(StreamReplay, MergedBatchMatchesInMemoryBatch) {
   EXPECT_FALSE(mem.aggregate.has_stream);
 }
 
-// ---- record-while-replay pipelining (RunOptions::pipeline) ----
+// ---- batch shards are standalone trace jobs ----
 
-TEST(Pipeline, EngineRunMatchesSerial) {
-  const size_t n = 512;
-  RunOptions opt;
-  opt.backend = Backend::kSimPws;
-  opt.label = "pipe-run";
-  opt.sim = stream_machine(2);
-  opt.trace = tiny_stream(2);
-  const JobResult serial_jr =
-      testing::engine().submit({.opt = opt}, prog_spms(n));
-  ASSERT_TRUE(serial_jr.ok()) << serial_jr.error;
-  const RunReport& serial = serial_jr.report;
-
-  RunOptions popt = opt;
-  popt.pipeline = true;
-  const JobResult piped_jr =
-      testing::engine().submit({.opt = popt}, prog_spms(n));
-  ASSERT_TRUE(piped_jr.ok()) << piped_jr.error;
-  const RunReport& piped = piped_jr.report;
-
-  // Pipelining is a scheduling change only: every observable of the
-  // simulated machine and the recorded graph is bit-identical.
-  EXPECT_EQ(piped.sim, serial.sim);
-  EXPECT_EQ(piped.q_seq, serial.q_seq);
-  EXPECT_EQ(piped.graph.work, serial.graph.work);
-  EXPECT_EQ(piped.graph.span, serial.graph.span);
-  EXPECT_EQ(piped.graph.accesses, serial.graph.accesses);
-  EXPECT_EQ(piped.trace_segments, serial.trace_segments);
-  // Write-behind spilling puts every sealed record on disk — a
-  // deterministic count, unlike the serial LRU's eviction subset.
-  ASSERT_TRUE(piped.has_stream);
-  EXPECT_EQ(piped.trace_spilled_bytes,
-            piped.graph.accesses * sizeof(Access));
-  EXPECT_GT(piped.trace_compressed_bytes, 0u);
-  EXPECT_LT(piped.trace_compressed_bytes, piped.trace_spilled_bytes);
+/// A report with the two fields a host schedule may change — the label
+/// and the wall clock — blanked, as its flat JSON.
+std::string schedule_free(RunReport r) {
+  r.label.clear();
+  r.wall_ms = 0;
+  return r.to_json();
 }
 
-TEST(Pipeline, BatchBitIdenticalAcrossKindsAndThreads) {
+TEST(Batch, ShardRowsEqualStandaloneRuns) {
+  // Each shard of a batch is its own simulated machine, so its row is the
+  // run job of its program recorded at that shard: Metrics, baseline,
+  // graph stats and every store counter, resident high-water included.
+  // Parallel chains walk on one host thread each, and so does the run job
+  // here: a run job with replay_threads > 1 overlaps its two walks, which
+  // pins more segments at once (Metrics stay equal either way).
   const size_t n = 128;
   std::vector<AnyProg> progs;
   progs.emplace_back(prog_route(n));
   progs.emplace_back(prog_listrank(n));
   progs.emplace_back(prog_spms(2 * n));
+  Engine& eng = testing::engine();
 
   for (const Backend backend : {Backend::kSimPws, Backend::kSimRws}) {
-    RunOptions opt;
-    opt.backend = backend;
-    opt.label = "pipe-batch";
-    opt.sim = stream_machine(1);
-    opt.trace = tiny_stream(2);
-    const JobResult serial_jr = testing::engine().submit(
-        {.kind = JobKind::kBatch,
-         .shards = static_cast<uint32_t>(progs.size()),
-         .opt = opt},
-        progs);
-    ASSERT_TRUE(serial_jr.ok()) << serial_jr.error;
-    const BatchReport& serial = serial_jr.batch;
-    ASSERT_FALSE(serial.pipelined);
-
-    for (const uint32_t threads : {1u, 2u, 8u}) {
-      RunOptions popt = opt;
-      popt.pipeline = true;
-      popt.sim.replay_threads = threads;
-      const JobResult piped_jr = testing::engine().submit(
-          {.kind = JobKind::kBatch,
-           .shards = static_cast<uint32_t>(progs.size()),
-           .opt = popt},
-          progs);
-      ASSERT_TRUE(piped_jr.ok()) << piped_jr.error;
-      const BatchReport& piped = piped_jr.batch;
-      const std::string what =
-          std::string(backend == Backend::kSimPws ? "pws" : "rws") +
-          " threads=" + std::to_string(threads);
-      EXPECT_TRUE(piped.pipelined) << what;
-      ASSERT_EQ(piped.runs.size(), serial.runs.size()) << what;
-      for (size_t i = 0; i < serial.runs.size(); ++i) {
-        EXPECT_EQ(piped.runs[i].sim, serial.runs[i].sim)
-            << what << " shard " << i;
-        EXPECT_EQ(piped.runs[i].q_seq, serial.runs[i].q_seq)
-            << what << " shard " << i;
-        EXPECT_EQ(piped.runs[i].graph.work, serial.runs[i].graph.work)
-            << what << " shard " << i;
-        EXPECT_EQ(piped.runs[i].graph.accesses,
-                  serial.runs[i].graph.accesses)
-            << what << " shard " << i;
+    for (const bool streamed : {false, true}) {
+      for (const uint32_t threads : {1u, 2u, 8u}) {
+        RunOptions opt;
+        opt.backend = backend;
+        opt.label = "rows";
+        opt.sim = stream_machine(threads);
+        if (streamed) opt.trace = tiny_stream(2);
+        const JobSpec spec{.kind = JobKind::kBatch,
+                           .shards = static_cast<uint32_t>(progs.size()),
+                           .opt = opt};
+        const std::string what =
+            std::string(backend_name(backend)) +
+            (streamed ? " streamed" : " in-memory") +
+            " threads=" + std::to_string(threads);
+        const JobResult batch = eng.submit(spec, progs);
+        ASSERT_TRUE(batch.ok()) << batch.error;
+        ASSERT_EQ(batch.batch.runs.size(), progs.size()) << what;
+        for (size_t i = 0; i < progs.size(); ++i) {
+          RunOptions sopt = opt;
+          sopt.shard = static_cast<uint32_t>(i);
+          sopt.sim.replay_threads = 1;
+          const JobResult run = eng.submit({.opt = sopt}, progs[i]);
+          ASSERT_TRUE(run.ok()) << run.error;
+          const RunReport& row = batch.batch.runs[i];
+          EXPECT_EQ(row.sim, run.report.sim) << what << " shard " << i;
+          EXPECT_EQ(schedule_free(row), schedule_free(run.report))
+              << what << " shard " << i;
+          EXPECT_EQ(row.has_stream, streamed) << what;
+        }
+        // Synchronous spilling: the resident high-water repeats exactly.
+        const JobResult again = eng.submit(spec, progs);
+        ASSERT_TRUE(again.ok()) << again.error;
+        EXPECT_EQ(again.batch.aggregate.trace_peak_resident_bytes,
+                  batch.batch.aggregate.trace_peak_resident_bytes)
+            << what;
       }
-      EXPECT_EQ(piped.aggregate.sim, serial.aggregate.sim) << what;
-      EXPECT_EQ(piped.aggregate.q_seq, serial.aggregate.q_seq) << what;
-      EXPECT_EQ(piped.aggregate.graph.work, serial.aggregate.graph.work)
-          << what;
-      // Deterministic write-behind byte counts, independent of thread
-      // interleaving.
-      ASSERT_TRUE(piped.aggregate.has_stream) << what;
-      EXPECT_EQ(piped.aggregate.trace_spilled_bytes,
-                piped.aggregate.graph.accesses * sizeof(Access))
-          << what;
-      EXPECT_GT(piped.aggregate.trace_compressed_bytes, 0u) << what;
-      EXPECT_LE(2 * piped.aggregate.trace_compressed_bytes,
-                piped.aggregate.trace_spilled_bytes)
-          << what;
     }
   }
-}
-
-TEST(Pipeline, BatchWithoutTraceStoreStillMatches) {
-  // pipeline=true with in-memory recording (no segment store): the
-  // per-shard chains still run, just without spill write-behind.
-  const size_t n = 96;
-  std::vector<AnyProg> progs;
-  progs.emplace_back(prog_route(n));
-  progs.emplace_back(prog_listrank(n));
-
-  RunOptions opt;
-  opt.backend = Backend::kSimPws;
-  opt.label = "pipe-mem";
-  opt.sim = stream_machine(2);
-  const JobResult serial_jr = testing::engine().submit(
-      {.kind = JobKind::kBatch,
-       .shards = static_cast<uint32_t>(progs.size()),
-       .opt = opt},
-      progs);
-  ASSERT_TRUE(serial_jr.ok()) << serial_jr.error;
-  const BatchReport& serial = serial_jr.batch;
-  RunOptions popt = opt;
-  popt.pipeline = true;
-  const JobResult piped_jr = testing::engine().submit(
-      {.kind = JobKind::kBatch,
-       .shards = static_cast<uint32_t>(progs.size()),
-       .opt = popt},
-      progs);
-  ASSERT_TRUE(piped_jr.ok()) << piped_jr.error;
-  const BatchReport& piped = piped_jr.batch;
-  ASSERT_EQ(piped.runs.size(), serial.runs.size());
-  for (size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_EQ(piped.runs[i].sim, serial.runs[i].sim) << "shard " << i;
-    EXPECT_EQ(piped.runs[i].q_seq, serial.runs[i].q_seq) << "shard " << i;
-  }
-  EXPECT_EQ(piped.aggregate.sim, serial.aggregate.sim);
-  EXPECT_FALSE(piped.aggregate.has_stream);
 }
 
 // ---- report plumbing ----
