@@ -1,7 +1,7 @@
 // Batch bench: N workload instances, each recorded into its own address
 // shard and replayed on its own simulated machine, as one batch job — once
 // on one host thread (--replay-threads=1) and once on a host pool where
-// each shard is one record -> analyze -> replay chain.  Demonstrates the
+// each shard is one record -> replay chain.  Demonstrates the
 // two acceptance properties of the batch schedule:
 //
 //   * speedup:   the pooled batch's wall-clock beats the one-thread batch

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   for (size_t n = nmax / 4; n <= nmax; n *= 2) {
     TaskGraph g = record(wl::cc(n, 2 * n, sort_from_cli(cli)));
     TaskGraph lr = record(wl::lr(n, true, sort_from_cli(cli)));
-    const GraphStats st = g.analyze();
-    const GraphStats lrst = lr.analyze();
+    const GraphStats st = g.stats();
+    const GraphStats lrst = lr.stats();
     const SimConfig c1 = cfg(1, 1 << 12, 32);
     const Metrics seq = measure(g, Backend::kSeq, c1, false).sim;
     for (uint32_t p : {4u, 16u}) {

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
             "attempts", "2pD'"});
 
   auto emit = [&](const char* name, const TaskGraph& g) {
-    const GraphStats st = g.analyze();
+    const GraphStats st = g.stats();
     const uint64_t dprime = st.max_depth + 1;
     for (uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
       const SimConfig c = cfg(p, 1 << 12, 32);

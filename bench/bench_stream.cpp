@@ -15,7 +15,7 @@
 //                 codec (trace_codec.h), and a raw-mode run spills exactly
 //                 16 bytes per record;
 //   * batch:      every shard row of a streamed batch (one record ->
-//                 analyze -> replay chain per shard) equals the run job of
+//                 replay chain per shard) equals the run job of
 //                 its program at that shard, and the chains spill the
 //                 whole stream.
 //
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
                  "raise --n or shrink --windows/--segment");
 
     // Boundedness: window + open segment + one pinned segment per
-    // simulated core (and analysis pass) — never the trace itself.
+    // simulated core — never the trace itself.
     const uint64_t slack = (uint64_t{opt.sim.p} + 4) * segment * sizeof(Access);
     RO_CHECK_MSG(r.trace_peak_resident_bytes <= window_bytes + slack,
                  "resident high-water exceeded the configured window");
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
               static_cast<double>(trace_bytes) /
                   (w0 * segment * sizeof(Access)));
 
-  // ---- the batch leg: one record -> analyze -> replay chain per shard ----
+  // ---- the batch leg: one record -> replay chain per shard ----
   //
   // A heterogeneous sort batch (SPMS + merge sort at two sizes) as one
   // batch job: each shard is a chain on the host pool, and shard i replays
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
                    "batch shard store diverged from its standalone run");
     }
     // The window is far smaller than each shard's stream, so every
-    // segment leaves it at least once over record, analysis and replay:
+    // segment leaves it at least once over record and replay:
     // the whole stream reaches disk — and still shrinks >= 4x.
     RO_CHECK_MSG(batch.aggregate.trace_spilled_bytes ==
                      batch.aggregate.graph.accesses * sizeof(Access),

@@ -33,8 +33,8 @@ struct Row {
 };
 
 void emit(Table& t, Row& r) {
-  const GraphStats ss = r.g_small.analyze();
-  const GraphStats sb = r.g_big.analyze();
+  const GraphStats ss = r.g_small.stats();
+  const GraphStats sb = r.g_big.stats();
   const double w_exp = std::log(static_cast<double>(sb.work) / ss.work) /
                        std::log(r.size_ratio);
   const SimConfig c = cfg(1, 1 << 12, 32);

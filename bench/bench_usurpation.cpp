@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   t.header({"algorithm", "p", "usurpations", "(p-1)*levels", "ratio"});
 
   auto emit = [&](const char* name, const TaskGraph& g) {
-    const GraphStats st = g.analyze();
+    const GraphStats st = g.stats();
     for (uint32_t p : {2u, 4u, 8u, 16u, 32u}) {
       const SimConfig c = cfg(p, 1 << 12, 32);
       const Metrics m = measure(g, Backend::kSimPws, c, false).sim;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ro/core/access.h"
@@ -40,17 +41,23 @@ struct Segment {
 /// One task.  Segments are contiguous in TaskGraph::segments
 /// [first_seg, first_seg + num_segs).
 struct Activation {
+  uint64_t size : 48 = 0;    // declared task size |τ| in words (Def: data accessed)
+  uint64_t depth : 16 = 0;   // fork distance from root == PWS priority level
   uint32_t parent = kNoAct;
-  uint32_t parent_seg = 0;   // local segment index in parent that forked us
-  uint8_t child_slot = 0;    // 0 = left, 1 = right child of that fork
-  uint16_t depth = 0;        // fork distance from root == PWS priority level
-  uint64_t size = 0;         // declared task size |τ| in words (Def: data accessed)
+  uint32_t parent_seg : 31 = 0;  // local segment index in parent that forked us
+  uint32_t child_slot : 1 = 0;   // 0 = left, 1 = right child of that fork
   uint32_t first_seg = 0;
   uint32_t num_segs = 0;
   uint32_t frame_words = 0;     // locals (+padding) + fork slots
   uint32_t fork_slot_base = 0;  // offset of fork bookkeeping slots in frame
   friend bool operator==(const Activation&, const Activation&) = default;
 };
+// One record per task, and BP/HBP leaves do O(1) work: the table is a
+// large share of a recording's bytes, so a regrown field must be a choice.
+static_assert(sizeof(Activation) == 32);
+
+/// Largest declared task size an Activation holds (48 bits of words).
+inline constexpr uint64_t kMaxTaskSize = (uint64_t{1} << 48) - 1;
 
 /// One shard's slice of a (possibly merged) recording: an independent
 /// fork-join component rooted at `root` whose global addresses live in
@@ -72,7 +79,9 @@ struct ShardSpan {
   friend bool operator==(const ShardSpan&, const ShardSpan&) = default;
 };
 
-/// Summary statistics derived from a graph (see analyze()).
+/// Summary statistics of a graph: computed by TraceCtx as each
+/// activation closes (TaskGraph::recorded_stats), or from a finished
+/// graph by analyze().
 struct GraphStats {
   uint64_t work = 0;          // total access words + O(1) per fork/join
   uint64_t span = 0;          // critical path with the same costs
@@ -80,6 +89,7 @@ struct GraphStats {
   uint64_t activations = 0;
   uint64_t accesses = 0;
   uint64_t leaves = 0;
+  friend bool operator==(const GraphStats&, const GraphStats&) = default;
 };
 
 /// One shard's slice of a *streamed* access stream: the chunked TraceStore
@@ -118,12 +128,22 @@ class TaskGraph {
   // a classic single-shard graph, whose one implicit span is
   // {shard_of(data_base), root, data_base, data_top}.
   std::vector<ShardSpan> shards;
+  // Stats the recorder computed while recording (TraceCtx); empty for a
+  // graph built by hand or fused by merge_shards.
+  std::optional<GraphStats> recorded_stats;
 
   /// Per-access/fork/join cost constants used for work & span accounting.
   static constexpr uint64_t kForkCost = 2;  // two frame-slot writes
   static constexpr uint64_t kJoinCost = 3;  // child result write + 2 reads
 
+  /// Recomputes the stats from the finished graph, reading the whole
+  /// access stream.  Kept as the oracle of the recorder's stats.
   GraphStats analyze() const;
+
+  /// recorded_stats when the graph has them, else analyze().
+  GraphStats stats() const {
+    return recorded_stats ? *recorded_stats : analyze();
+  }
 
   /// True when the access stream lives in chunked TraceStores instead of
   /// the resident `accesses` vector.

@@ -7,8 +7,15 @@
 // symbolic offsets in the owning activation's stack frame; their concrete
 // addresses are chosen by the scheduler at replay time, because they depend
 // on which core's execution-stack arena the activation lands on (§3.3).
+//
+// The graph's GraphStats are computed on the way (TaskGraph::
+// recorded_stats): work from a running word count, and span bottom-up,
+// each closing activation returning its span to the fork that made it.
+// The open activations' segments share one LIFO stack, so recording a
+// task allocates nothing beyond its slots in the graph's own tables.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -73,25 +80,28 @@ class TraceCtx : public CtxBase<TraceCtx> {
   template <class F, class G>
   void fork2(uint64_t size_left, F&& f, uint64_t size_right, G&& g) {
     RO_CHECK_MSG(!stack_.empty(), "fork2() outside run()");
-    const uint32_t parent = stack_.back().act;
+    Builder& pb = stack_.back();
+    const uint32_t parent = pb.act;
     const uint32_t local_seg =
-        static_cast<uint32_t>(stack_.back().segs.size());
+        static_cast<uint32_t>(segs_.size() - pb.first_seg);
     const uint16_t depth = static_cast<uint16_t>(g_.acts[parent].depth + 1);
     const uint32_t left = new_act(parent, local_seg, 0, depth, size_left);
     const uint32_t right = new_act(parent, local_seg, 1, depth, size_right);
-    {
-      Builder& b = stack_.back();
-      b.segs.push_back(Segment{b.acc_begin, acc_count(),
-                               static_cast<int32_t>(left),
-                               static_cast<int32_t>(right)});
-    }
+    segs_.push_back(Segment{pb.acc_begin, acc_count(),
+                            static_cast<int32_t>(left),
+                            static_cast<int32_t>(right)});
+    pb.span += words_ - pb.words_begin;
     begin_act(left);
     f();
-    end_act();
+    const uint64_t span_left = end_act();
     begin_act(right);
     g();
-    end_act();
-    stack_.back().acc_begin = acc_count();
+    const uint64_t span_right = end_act();
+    Builder& b = stack_.back();  // the children's pushes may have moved it
+    b.span += TaskGraph::kForkCost + TaskGraph::kJoinCost +
+              std::max(span_left, span_right);
+    b.acc_begin = acc_count();
+    b.words_begin = words_;
   }
 
   /// Records the whole computation; returns the graph (ctx is then spent).
@@ -103,7 +113,13 @@ class TraceCtx : public CtxBase<TraceCtx> {
     g_.root = root;
     begin_act(root);
     f();
-    end_act();
+    stats_.span = end_act();
+    stats_.activations = g_.acts.size();
+    stats_.accesses = acc_count();
+    // Every activation has one segment more than it has forks.
+    stats_.work = words_ + (g_.segments.size() - g_.acts.size()) *
+                               (TaskGraph::kForkCost + TaskGraph::kJoinCost);
+    g_.recorded_stats = stats_;
     g_.data_base = vs_->base();
     g_.data_top = vs_->top();
     g_.align_words = vs_->alignment();
@@ -120,11 +136,14 @@ class TraceCtx : public CtxBase<TraceCtx> {
   uint32_t shard() const { return vs_->shard(); }
 
  private:
+  /// An open activation.  Its closed segments are segs_[first_seg, end).
   struct Builder {
     uint32_t act = 0;
-    uint64_t acc_begin = 0;
     uint32_t locals_words = 0;
-    std::vector<Segment> segs;
+    uint64_t acc_begin = 0;    // first access of the open segment
+    uint64_t words_begin = 0;  // words_ when the open segment began
+    uint64_t span = 0;         // span of the closed segments and their forks
+    size_t first_seg = 0;
   };
 
   /// Access records appended so far, wherever they live.
@@ -141,18 +160,23 @@ class TraceCtx : public CtxBase<TraceCtx> {
     } else {
       g_.accesses.push_back(a);
     }
+    words_ += len;
   }
 
   uint32_t new_act(uint32_t parent, uint32_t parent_seg, uint8_t slot,
                    uint16_t depth, uint64_t size);
   void begin_act(uint32_t id);
-  void end_act();
+  /// Closes the innermost activation and returns its span.
+  uint64_t end_act();
 
   Options opt_;
   std::unique_ptr<VSpace> owned_;  // null when recording into an external space
   VSpace* vs_;
   TaskGraph g_;
   std::vector<Builder> stack_;
+  std::vector<Segment> segs_;  // closed segments of the open activations
+  uint64_t words_ = 0;         // access words recorded so far
+  GraphStats stats_;           // leaves and max_depth as tasks are made
 };
 
 static_assert(Context<TraceCtx>);

@@ -36,10 +36,12 @@ BalanceReport check_balance(const TaskGraph& g) {
   BalanceReport r;
   std::unordered_map<uint32_t, std::pair<uint64_t, uint64_t>> depth_minmax;
   for (const auto& a : g.acts) {
-    auto [it, fresh] = depth_minmax.try_emplace(a.depth, a.size, a.size);
+    const uint64_t size = a.size;  // a bit-field: no reference binds to it
+    auto [it, fresh] =
+        depth_minmax.try_emplace(static_cast<uint32_t>(a.depth), size, size);
     if (!fresh) {
-      it->second.first = std::min(it->second.first, a.size);
-      it->second.second = std::max(it->second.second, a.size);
+      it->second.first = std::min(it->second.first, size);
+      it->second.second = std::max(it->second.second, size);
     }
   }
   for (const auto& [d, mm] : depth_minmax) {

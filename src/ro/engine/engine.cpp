@@ -109,7 +109,8 @@ unsigned hw_threads() {
 }
 
 /// Copies the graph's TraceStore statistics (segments, spilled bytes,
-/// resident high-water) into the report; no-op for resident graphs.
+/// resident high-water, reloads) into the report; no-op for resident
+/// graphs.
 void fill_stream_stats(RunReport& r, const TaskGraph& g) {
   if (!g.streaming()) return;
   r.has_stream = true;
@@ -122,6 +123,7 @@ void fill_stream_stats(RunReport& r, const TaskGraph& g) {
     // sum: the resident bound is (window + open + pins) x live stores, and
     // the report says so instead of hiding it behind a max.
     r.trace_peak_resident_bytes += st.peak_resident_bytes;
+    r.trace_segment_loads += st.segment_loads;
   }
 }
 
@@ -169,22 +171,20 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// A program recorded into its address shard and analyzed: the first step
-/// of every trace job.
+/// A program recorded into its address shard, with the stats the
+/// recorder computed: the first step of every trace job.
 struct Recorded {
-  TaskGraph g;
-  GraphStats stats;
-  double ms = 0;  // host time recording + analyzing
+  TaskGraph g;    // carries recorded_stats
+  double ms = 0;  // host time recording
 };
 
-Recorded record_analyzed(const AnyProg& prog, const RunOptions& opt,
-                         uint32_t shard) {
+Recorded record_job(const AnyProg& prog, const RunOptions& opt,
+                    uint32_t shard) {
   const auto t0 = std::chrono::steady_clock::now();
   Recorded rec;
   rec.g = detail::record_graph(
       prog, opt.trace.segment_tasks > 0 ? &opt.trace : nullptr, opt.padded,
       opt.align_words, shard);
-  rec.stats = rec.g.analyze();
   rec.ms = ms_since(t0);
   return rec;
 }
@@ -192,12 +192,12 @@ Recorded record_analyzed(const AnyProg& prog, const RunOptions& opt,
 /// One trace job's report plus the host time of its two phases.
 struct TraceRun {
   RunReport r;
-  double record_ms = 0;  // recording + analysis
+  double record_ms = 0;  // recording, stats included
   double replay_ms = 0;  // main walk + p=1 baseline
 };
 
-/// The trace job: records `prog` into address shard `shard`, analyzes it
-/// and replays it on opt.sim — the main walk plus, with seq_baseline, the
+/// The trace job: records `prog` into address shard `shard` and replays
+/// it on opt.sim — the main walk plus, with seq_baseline, the
 /// p=1 baseline.  A run job is one call; a batch without capacity sharing
 /// is one call per shard, so each shard row equals the standalone run of
 /// its program at that shard.
@@ -205,13 +205,13 @@ TraceRun run_trace(const AnyProg& prog, const RunOptions& opt,
                    uint32_t shard) {
   const auto t0 = std::chrono::steady_clock::now();
   TraceRun t;
-  const Recorded rec = record_analyzed(prog, opt, shard);
+  const Recorded rec = record_job(prog, opt, shard);
   t.record_ms = rec.ms;
   RunReport& r = t.r;
   r.label = opt.label;
   r.backend = opt.backend;
   r.has_graph = true;
-  r.graph = rec.stats;
+  r.graph = rec.g.stats();
   const auto t1 = std::chrono::steady_clock::now();
   fill_replay(r, rec.g, opt.backend, opt.sim, opt.seq_baseline);
   t.replay_ms = ms_since(t1);
@@ -242,6 +242,7 @@ void aggregate_batch(BatchReport& br, const RunOptions& opt, Metrics sim,
     agg.trace_spilled_bytes += r.trace_spilled_bytes;
     agg.trace_compressed_bytes += r.trace_compressed_bytes;
     agg.trace_peak_resident_bytes += r.trace_peak_resident_bytes;
+    agg.trace_segment_loads += r.trace_segment_loads;
     agg.q_seq += r.q_seq;
     agg.seq_makespan = std::max(agg.seq_makespan, r.seq_makespan);
   }
@@ -276,7 +277,7 @@ Metrics replay_shared(BatchReport& br, std::vector<Recorded> recs,
     r.label = opt.label + "#" + std::to_string(i);
     r.backend = opt.backend;
     r.has_graph = true;
-    r.graph = recs[i].stats;
+    r.graph = recs[i].g.stats();
     graphs.push_back(std::move(recs[i].g));
   }
   const TaskGraph merged = merge_shards(std::move(graphs));
@@ -434,11 +435,11 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
   br.runs.resize(n);
 
   if (opt.capacity_shared) {
-    // The shared machine walks the merged trace, so only the record +
-    // analyze step runs per shard on the pool.
+    // The shared machine walks the merged trace, so only the record step
+    // runs per shard on the pool.
     std::vector<Recorded> recs(n);
     replay_parallel_for(opt.sim.replay_threads, opt.sim, n, [&](size_t i) {
-      recs[i] = record_analyzed(progs[i], opt, static_cast<uint32_t>(i));
+      recs[i] = record_job(progs[i], opt, static_cast<uint32_t>(i));
     });
     Metrics sim = replay_shared(br, std::move(recs), opt);
     aggregate_batch(br, opt, std::move(sim), t0);
@@ -545,7 +546,7 @@ RunReport Engine::replay(const TaskGraph& g, Backend backend,
   r.label = label;
   r.backend = backend;
   r.has_graph = true;
-  r.graph = stats ? *stats : g.analyze();
+  r.graph = stats ? *stats : g.stats();
   const auto t0 = std::chrono::steady_clock::now();
   fill_replay(r, g, backend, sim, seq_baseline);
   r.wall_ms = ms_since(t0);

@@ -101,8 +101,8 @@ class TuningGate {
 };
 
 /// The recording core of every trace path: executes `prog` through a
-/// fresh TraceCtx into address shard `shard` and returns the raw graph,
-/// not yet analyzed.  `stream` non-null selects the chunked TraceStore.
+/// fresh TraceCtx into address shard `shard` and returns the graph with
+/// its recorded_stats.  `stream` non-null selects the chunked TraceStore.
 TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
                        bool padded, uint64_t align_words, uint32_t shard);
 
@@ -135,6 +135,8 @@ class Engine {
 
   /// Records `prog` through a fresh TraceCtx (the Engine-owned virtual
   /// address space) and returns the graph + stats for repeated replay.
+  /// The stats are the ones the recorder computed while recording; the
+  /// trace is not read back.
   /// `shard` selects the address shard recorded into (0 = the classic
   /// single-shard layout); replay rebases per shard, so the shard choice
   /// never changes the replayed Metrics.  Recording reads the *process
@@ -146,7 +148,7 @@ class Engine {
     Recording rec;
     rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
                                      nullptr, padded, align_words, shard);
-    rec.stats = rec.graph.analyze();
+    rec.stats = rec.graph.stats();
     return rec;
   }
 
@@ -165,7 +167,7 @@ class Engine {
     Recording rec;
     rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
                                      &stream, padded, align_words, shard);
-    rec.stats = rec.graph.analyze();
+    rec.stats = rec.graph.stats();
     return rec;
   }
 
@@ -173,8 +175,9 @@ class Engine {
   /// kSeq (p = 1 depth-first replay), kSimPws or kSimRws; parallel backends
   /// cannot replay a trace.  With `seq_baseline`, a p=1 replay is added so
   /// the report carries Q(n,M,B), the cache-miss excess and the simulated
-  /// speedup.  `stats` lets callers that replay one graph many times pass
-  /// the precomputed analysis instead of paying g.analyze() per call.
+  /// speedup.  The report's graph stats are `stats` when given, else
+  /// g.stats(): the recorded ones, and analyze() only for a graph that
+  /// was not recorded (built by hand or fused by merge_shards).
   RunReport replay(const TaskGraph& g, Backend backend, const SimConfig& sim,
                    bool seq_baseline = true, const std::string& label = "",
                    const GraphStats* stats = nullptr);
@@ -220,9 +223,9 @@ class Engine {
   /// or a leased pool, fills the report.
   RunReport run_one(const AnyProg& prog, const RunOptions& opt);
 
-  /// kBatch execution core: one record -> analyze -> replay chain per
-  /// shard, or, capacity-shared, per-shard record + analyze and one
-  /// shared replay of the merged trace.
+  /// kBatch execution core: one record -> replay chain per shard, or,
+  /// capacity-shared, per-shard records and one shared replay of the
+  /// merged trace.
   BatchReport run_batch_any(const std::vector<AnyProg>& progs,
                             const RunOptions& opt);
 

@@ -59,7 +59,7 @@ struct RunOptions {
   // machine — shared cores, caches and coherence directory — with
   // per-tenant miss/transfer attribution in the per-shard reports.  The
   // interesting service scenario: co-admitted tenants contending for one
-  // cache.  Shards still record and analyze in parallel; only the replay
+  // cache.  Shards still record in parallel; only the replay
   // waits for all of them, since it walks their merged trace.
   bool capacity_shared = false;
 
@@ -82,7 +82,8 @@ struct RunOptions {
   std::optional<alg::SpmsTuning> spms;
 };
 
-/// A recorded computation plus its derived stats (Engine::record).
+/// A recorded computation plus the stats the recorder computed
+/// (Engine::record; equal to graph.recorded_stats).
 struct Recording {
   TaskGraph graph;
   GraphStats stats;

@@ -133,6 +133,7 @@ std::string RunReport::to_json() const {
     kv(s, "trace_spilled_bytes", trace_spilled_bytes);
     kv(s, "trace_compressed_bytes", trace_compressed_bytes);
     kv(s, "trace_peak_resident_bytes", trace_peak_resident_bytes);
+    kv(s, "trace_segment_loads", trace_segment_loads);
     kv(s, "trace_compression_ratio", trace_compression_ratio());
   }
   s += "}";
@@ -234,6 +235,7 @@ bool report_from_json(const std::string& text, RunReport& out) {
       out.trace_compressed_bytes = as_u64(v);
     else if (k == "trace_peak_resident_bytes")
       out.trace_peak_resident_bytes = as_u64(v);
+    else if (k == "trace_segment_loads") out.trace_segment_loads = as_u64(v);
     else if (k == "trace_compression_ratio") {}  // derived; recomputed
     // Unknown keys are skipped: newer writers stay readable.
   }

@@ -108,6 +108,7 @@ struct RunReport {
   uint64_t trace_spilled_bytes = 0;        // record bytes spilled (raw size)
   uint64_t trace_compressed_bytes = 0;     // physical spill-file bytes
   uint64_t trace_peak_resident_bytes = 0;  // resident-window high-water
+  uint64_t trace_segment_loads = 0;        // spilled segments read back
 
   /// Simulated speedup over the p=1 baseline (0 when not applicable).
   double sim_speedup() const;
@@ -145,7 +146,7 @@ struct BatchReport {
                                 // shards (RunOptions::capacity_shared)
   double wall_ms = 0;           // the whole batch, end to end
   // Busy times, summed over shards: record_ms is each shard's recording
-  // plus analysis, replay_ms its main walk plus p=1 baseline (the one
+  // (its stats included), replay_ms its main walk plus p=1 baseline (the one
   // shared replay when capacity_shared).  Shards run concurrently, so
   // record_ms + replay_ms can exceed wall_ms.
   double record_ms = 0;

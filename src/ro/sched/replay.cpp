@@ -173,7 +173,7 @@ class ShardReplayer {
         cores_.back().curs.push_back(src.cursor());
       }
     }
-    astate_.resize(acts);
+    astate_.assign(acts, ActState{0, 0, kUnresolved});
     sstate_.resize(segs);
     if (shares_) shares_->assign(spans_.size(), TenantShare{});
     update_dir_limit();
@@ -240,11 +240,11 @@ class ShardReplayer {
     FlatBlockMap<LastTouch> last_touch;
   };
 
-  struct ActState {
-    vaddr_t frame_base = kUnresolved;
-    ArenaSet::FrameToken token;
-    bool started = false;
-  };
+  // An activation's stack frame.  Its base stays kUnresolved until the
+  // activation starts, so the base doubles as the started flag.
+  using ActState = ArenaSet::FrameToken;
+  // One per activation, filled on every walk: keep it to the token.
+  static_assert(sizeof(ActState) == 16);
 
   struct SegState {
     uint8_t pending = 0;
@@ -377,16 +377,14 @@ class ShardReplayer {
 
   void start_act(Core& c, uint32_t act, bool stolen) {
     ActState& st = ast(act);
-    RO_CHECK(!st.started);
-    st.started = true;
+    RO_CHECK(st.base == kUnresolved);  // every activation starts once
     const Activation& a = g_.acts[act];
     if (stolen || a.parent == kNoAct) {
       c.cur_arena = arenas_.new_arena();  // fresh S_τ for a stolen kernel
     }
     RO_CHECK(c.cur_arena != kNoCore);
-    st.token = arenas_.push(c.cur_arena, a.frame_words);
+    st = arenas_.push(c.cur_arena, a.frame_words);
     update_dir_limit();  // the frame may have raised the high-water mark
-    st.frame_base = st.token.base;
     c.busy = true;
     c.fr = Frame{act, 0, g_.segments[a.first_seg].acc_begin,
                  span_of_act(act)};
@@ -409,8 +407,7 @@ class ShardReplayer {
 
   void complete_act(Core& c, uint32_t act) {
     const Activation& a = g_.acts[act];
-    ActState& st = ast(act);
-    arenas_.complete(st.token);
+    arenas_.complete(ast(act));
     if (a.parent == kNoAct) {
       if (--roots_left_ == 0) done_ = true;
       c.busy = false;
@@ -449,8 +446,8 @@ class ShardReplayer {
 
   vaddr_t fork_slot_addr(uint32_t act, uint32_t local_seg) const {
     const Activation& a = g_.acts[act];
-    RO_CHECK(ast(act).frame_base != kUnresolved);
-    return ast(act).frame_base + a.fork_slot_base + 2 * local_seg;
+    RO_CHECK(ast(act).base != kUnresolved);
+    return ast(act).base + a.fork_slot_base + 2 * local_seg;
   }
 
   // ---- memory system ----
@@ -462,9 +459,9 @@ class ShardReplayer {
     vaddr_t addr;
     bool stack = false;
     if (acc.act != kNoAct) {
-      RO_CHECK_MSG(ast(acc.act).frame_base != kUnresolved,
+      RO_CHECK_MSG(ast(acc.act).base != kUnresolved,
                    "frame access before frame allocation");
-      addr = acc.addr + ast(acc.act).frame_base;
+      addr = acc.addr + ast(acc.act).base;
       stack = true;
     } else {
       // A task only ever touches its own shard's data (shards share no

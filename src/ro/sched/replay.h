@@ -49,7 +49,7 @@
 // recording to finish — start_act charges the activation's frame_words,
 // which the recorder only knows at the activation's end — so the Engine
 // overlaps at coarser grain: each shard of a batch is one
-// record -> analyze -> replay chain on a host pool, and shard i replays
+// record -> replay chain on a host pool, and shard i replays
 // while shard j still records.  Metrics are unaffected: every walk
 // consumes the same sealed records.
 #pragma once

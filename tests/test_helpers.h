@@ -101,6 +101,16 @@ inline auto prog_spms(size_t n) {
   };
 }
 
+/// A streamed-trace setting that seals constantly (64 records per trace
+/// segment, so task segments straddle seals) and spills everything
+/// beyond `window` resident segments.
+inline StreamOptions tiny_stream(uint32_t window) {
+  StreamOptions s;
+  s.segment_tasks = 64;
+  s.max_resident_segments = window;
+  return s;
+}
+
 /// Limited-access assertion with an explicit bound (Def 2.4).
 inline void check_limited(const TaskGraph& g, uint32_t k = 2) {
   const auto rep = ro::check_limited_access(g);

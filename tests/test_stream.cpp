@@ -30,6 +30,7 @@ using alg::i64;
 using testing::prog_listrank;
 using testing::prog_route;
 using testing::prog_spms;
+using testing::tiny_stream;
 
 Access rec(uint64_t i) {
   return Access{i * 3, i % 7 == 0 ? kNoAct : static_cast<uint32_t>(i % 5),
@@ -314,13 +315,6 @@ TEST(TraceStore, ReaderConsumesSealedSegmentsWhileRecording) {
 
 // ---- streamed recording vs the in-memory recording ----
 
-StreamOptions tiny_stream(uint32_t window) {
-  StreamOptions s;
-  s.segment_tasks = 64;  // many seals: task segments straddle constantly
-  s.max_resident_segments = window;
-  return s;
-}
-
 TEST(StreamRecord, MatchesInMemoryRecording) {
   const size_t n = 256;
   Engine& eng = testing::engine();
@@ -346,6 +340,18 @@ TEST(StreamRecord, MatchesInMemoryRecording) {
   EXPECT_EQ(str.stats.span, mem.stats.span);
   EXPECT_EQ(str.stats.accesses, mem.stats.accesses);
   EXPECT_EQ(str.stats.leaves, mem.stats.leaves);
+}
+
+TEST(Stream, RecordStreamReadsNothingBack) {
+  // The recorder computes the graph's stats as it goes, so a streamed
+  // recording never reads its spilled segments back: every reload a job
+  // reports belongs to its replays.
+  const Recording rec =
+      testing::engine().record_stream(prog_route(256), tiny_stream(1));
+  ASSERT_EQ(rec.graph.streams.size(), 1u);
+  const TraceStore::Stats st = rec.graph.streams[0].store->stats();
+  EXPECT_GT(st.spilled_bytes, 0u);
+  EXPECT_EQ(st.segment_loads, 0u);
 }
 
 TEST(StreamRecord, EmptyAndForkOnlySegmentsSurviveSeals) {
@@ -537,8 +543,9 @@ TEST(StreamReport, EngineRunReportsStoreStats) {
   EXPECT_LT(r.trace_compressed_bytes, r.trace_spilled_bytes);
   EXPECT_GT(r.trace_compression_ratio(), 1.0);
   EXPECT_GT(r.trace_peak_resident_bytes, 0u);
-  // Bounded: window + open + a pin per simulated core and analysis pass,
-  // in segments of segment_tasks records — far below the full trace.
+  EXPECT_GT(r.trace_segment_loads, 0u);  // the replays read the spill
+  // Bounded: window + open + a pin per simulated core, in segments of
+  // segment_tasks records — far below the full trace.
   const uint64_t seg_bytes = opt.trace.segment_tasks * sizeof(Access);
   EXPECT_LE(r.trace_peak_resident_bytes,
             (uint64_t{opt.trace.max_resident_segments} + 8) * seg_bytes);
@@ -554,7 +561,15 @@ TEST(StreamReport, EngineRunReportsStoreStats) {
   EXPECT_EQ(back.trace_spilled_bytes, r.trace_spilled_bytes);
   EXPECT_EQ(back.trace_compressed_bytes, r.trace_compressed_bytes);
   EXPECT_EQ(back.trace_peak_resident_bytes, r.trace_peak_resident_bytes);
+  EXPECT_EQ(back.trace_segment_loads, r.trace_segment_loads);
   EXPECT_EQ(back.trace_compression_ratio(), r.trace_compression_ratio());
+
+  // One replay thread walks the two replays one after the other, so the
+  // reload count is a property of the trace and the machine.
+  const JobResult again = testing::engine().submit({.opt = opt},
+                                                   prog_route(n));
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.report.trace_segment_loads, r.trace_segment_loads);
 }
 
 // ---- NUMA-aware replay host pool (SimConfig::replay_layout) ----

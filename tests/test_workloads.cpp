@@ -80,6 +80,36 @@ TEST(Workloads, EveryRowMatchesItsParentFingerprint) {
   EXPECT_EQ(covered, std::set<std::string>(names.begin(), names.end()));
 }
 
+TEST(Graph, RecordedStatsMatchAnalyze) {
+  // The recorder's GraphStats against analyze(), the oracle that reads
+  // the finished graph back: in memory, streamed, padded and recorded
+  // into a non-zero shard, on every registry row at its fingerprint n.
+  Engine& eng = testing::engine();
+  std::set<std::string> covered;
+  for (const Fingerprint& f : kFingerprints) {
+    SCOPED_TRACE(f.name);
+    const AnyProg prog = make_workload(f.name, f.n, 0);
+    const Recording mem = eng.record(prog);
+    ASSERT_TRUE(mem.graph.recorded_stats.has_value());
+    EXPECT_EQ(*mem.graph.recorded_stats, mem.stats);
+    EXPECT_EQ(mem.stats, mem.graph.analyze());
+
+    const Recording str = eng.record_stream(prog, testing::tiny_stream(2));
+    ASSERT_TRUE(str.graph.streaming());
+    EXPECT_EQ(str.stats, str.graph.analyze());
+    EXPECT_EQ(str.stats, mem.stats);
+
+    const Recording pad = eng.record(prog, /*padded=*/true);
+    EXPECT_EQ(pad.stats, pad.graph.analyze());
+
+    const Recording sh = eng.record(prog, false, 4096, /*shard=*/5);
+    EXPECT_EQ(sh.stats, sh.graph.analyze());
+    EXPECT_EQ(sh.stats, mem.stats);
+    covered.insert(f.name);
+  }
+  EXPECT_EQ(covered.size(), workload_rows().size());
+}
+
 TEST(Workloads, EveryRowRunsOnEveryBackendFamily) {
   for (const WorkloadRow& row : workload_rows()) {
     // 64 is legal on every row: side 8 on the matrix rows.
