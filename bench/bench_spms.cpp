@@ -43,7 +43,7 @@ namespace {
 // value on every build and host.
 uint64_t spms_span(size_t n, const alg::SpmsTuning& t) {
   SpmsTuningGuard guard(t);
-  return engine().record(wl::sort(n, alg::SortKind::kSpms)).stats.span;
+  return engine().record(wl::sort(n, alg::SortKind::kSpms)).stats().span;
 }
 
 double span_norm(size_t n, uint64_t span) {
@@ -71,12 +71,12 @@ int main(int argc, char** argv) {
   uint64_t q[2] = {0, 0};
   for (SortKind kind : {SortKind::kMsort, SortKind::kSpms}) {
     const char* name = alg::sort_kind_name(kind);
-    const Recording rec = engine().record(wl::sort(n, kind));
+    const TaskGraph rec = engine().record(wl::sort(n, kind));
     for (Backend b : {Backend::kSimPws, Backend::kSimRws}) {
       const RunReport r = engine().replay(rec, b, c);
       if (b == Backend::kSimPws) q[kind == SortKind::kSpms] = r.q_seq;
-      t.row({name, backend_name(b), Table::num(rec.stats.work),
-             Table::num(rec.stats.span), Table::num(r.q_seq),
+      t.row({name, backend_name(b), Table::num(rec.stats().work),
+             Table::num(rec.stats().span), Table::num(r.q_seq),
              Table::num(r.sim.cache_misses()), Table::num(r.cache_excess),
              Table::num(r.sim.makespan), Table::num(r.sim_speedup()),
              Table::num(r.wall_ms)});

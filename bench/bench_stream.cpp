@@ -12,8 +12,7 @@
 //                 a constant slack (open segment + cursor pins), never
 //                 tracking the trace size;
 //   * compression: spilled segments shrink >= 4x under the delta/varint
-//                 codec (trace_codec.h), and a raw-mode run spills exactly
-//                 16 bytes per record;
+//                 codec (trace_codec.h), on every window and in the batch;
 //   * batch:      every shard row of a streamed batch (one record ->
 //                 replay chain per shard) equals the run job of
 //                 its program at that shard, and the chains spill the
@@ -23,8 +22,8 @@
 //                    [--segment=4096]      # records per trace segment
 //                    [--windows=1,4,16]    # max_resident_segments sweep
 //                    [--replay-threads=1]  # host replay parallelism
-//                    [--pipeline=1]        # the batch leg (0 = skip)
-//                    [--pipeline-threads=4]  # its host threads
+//                    [--batch=1]           # the batch leg (0 = skip)
+//                    [--batch-threads=4]   # its host threads
 //                    [--out=BENCH_stream.json]
 #include <cstdio>
 #include <fstream>
@@ -132,33 +131,9 @@ int main(int argc, char** argv) {
     reports.push_back(r);
   }
 
-  // Raw-mode control: compression off spills the 16-byte resident layout
-  // verbatim, so physical bytes == raw bytes.  Anchors the ratio column
-  // (and catches a codec that silently stops being applied).
-  const uint32_t w0 = windows.empty() ? 1 : windows[0];
-  {
-    RunOptions ropt = opt;
-    ropt.label = "stream-raw-w" + std::to_string(w0);
-    ropt.trace.segment_tasks = segment;
-    ropt.trace.max_resident_segments = w0;
-    ropt.trace.compress = false;
-    const JobResult r_jr = engine().submit({.opt = ropt}, prog);
-    RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
-    const RunReport& r = r_jr.report;
-    RO_CHECK_MSG(r.sim == mem.sim,
-                 "raw-mode replay diverged from the in-memory walk");
-    RO_CHECK_MSG(r.trace_compressed_bytes == r.trace_spilled_bytes,
-                 "raw mode must spill exactly the 16-byte record layout");
-    t.row({"raw", std::to_string(w0), mb(trace_bytes),
-           mb(r.trace_peak_resident_bytes), mb(r.trace_spilled_bytes),
-           mb(r.trace_compressed_bytes),
-           ratio_str(r.trace_spilled_bytes, r.trace_compressed_bytes),
-           std::to_string(r.trace_segments), std::to_string(r.sim.makespan),
-           Table::num(r.wall_ms)});
-    reports.push_back(r);
-  }
   t.print();
 
+  const uint32_t w0 = windows.empty() ? 1 : windows[0];
   std::printf("\nstreamed %zu windows bit-identically: trace=%.2f MB, "
               "smallest window=%.2f MB (%.0fx smaller)\n",
               windows.size(), trace_bytes / 1048576.0,
@@ -172,7 +147,7 @@ int main(int argc, char** argv) {
   // batch job: each shard is a chain on the host pool, and shard i replays
   // while shard j still records.  Every shard row must equal the run job
   // of its program at that shard, walked on one host thread like a chain.
-  if (cli.get_int("pipeline", 1) != 0) {
+  if (cli.get_int("batch", 1) != 0) {
     std::vector<AnyProg> progs;
     progs.emplace_back(wl::sort(n, SortKind::kSpms));
     progs.emplace_back(wl::sort(n, SortKind::kMsort));
@@ -180,9 +155,9 @@ int main(int argc, char** argv) {
     progs.emplace_back(wl::sort(n / 2, SortKind::kMsort));
 
     RunOptions bopt = opt;
-    bopt.label = "stream-pipelined";
+    bopt.label = "stream-batch";
     bopt.sim.replay_threads =
-        static_cast<uint32_t>(cli.get_int("pipeline-threads", 4));
+        static_cast<uint32_t>(cli.get_int("batch-threads", 4));
     bopt.trace.segment_tasks = segment;
     bopt.trace.max_resident_segments = w0;
     const JobResult batch_jr = engine().submit(
@@ -240,8 +215,8 @@ int main(int argc, char** argv) {
     std::printf("(batch record/replay-ms are busy times summed over shards; "
                 "their sum exceeding wall-ms is the overlap)\n");
 
-    // The JSON row for the exact CI gate, under its original label and
-    // with the resident high-water zeroed, as the committed row has it.
+    // The JSON row for the exact CI gate, with the resident high-water
+    // zeroed, as the committed row has it.
     RunReport agg = batch.aggregate;
     agg.trace_peak_resident_bytes = 0;
     reports.push_back(agg);

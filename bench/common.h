@@ -220,7 +220,7 @@ inline Engine& engine() {
 /// through the shared Engine, for the benches that replay one trace many
 /// times.
 inline TaskGraph record(const AnyProg& prog, bool padded = false) {
-  return engine().record(prog, padded).graph;
+  return engine().record(prog, padded);
 }
 
 // ---- run helpers ----

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   Engine eng;
   std::vector<i64> labels;
-  const Recording rec = eng.record([&](auto& cx) {
+  const TaskGraph rec = eng.record([&](auto& cx) {
     auto eu = cx.template alloc<i64>(m, "eu");
     auto ev = cx.template alloc<i64>(m, "ev");
     std::copy(e.u.begin(), e.u.end(), eu.raw());

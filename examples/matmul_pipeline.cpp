@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   Engine eng;
   std::vector<i64> c_out;
-  const Recording rec = eng.record([&](auto& cx) {
+  const TaskGraph rec = eng.record([&](auto& cx) {
     auto a = cx.template alloc<i64>(m, "A.rm");
     auto b = cx.template alloc<i64>(m, "B.rm");
     std::copy(a_rm.begin(), a_rm.end(), a.raw());
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     }
   }
   RO_CHECK(bad == 0);
-  const GraphStats& st = rec.stats;
+  const GraphStats st = rec.stats();
   std::printf("pipeline RM->BI -> Strassen -> gapped BI->RM on %ux%u: "
               "validated.\n  work=%llu  span=%llu  parallelism=%.1f\n",
               n, n, static_cast<unsigned long long>(st.work),

@@ -123,13 +123,13 @@ int main(int argc, char** argv) {
   };
 
   Engine eng;
-  const Recording rec = eng.record(prog);
+  const TaskGraph rec = eng.record(prog);
   if (!known) {
     std::fprintf(stderr, "unknown --alg=%s\n", name.c_str());
     return 2;
   }
-  const GraphStats& st = rec.stats;
-  const auto la = check_limited_access(rec.graph);
+  const GraphStats st = rec.stats();
+  const auto la = check_limited_access(rec);
   std::printf("%s: n=%zu  activations=%llu  work=%llu  span=%llu  "
               "parallelism=%.1f  max-writes/loc=%u\n\n",
               name.c_str(), n,

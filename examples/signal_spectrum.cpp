@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // the program so it can be analyzed after the run.
   std::vector<cplx> spectrum;
   Engine eng;
-  const Recording rec = eng.record([&](auto& cx) {
+  const TaskGraph rec = eng.record([&](auto& cx) {
     auto x = cx.template alloc<cplx>(n, "signal");
     for (size_t j = 0; j < n; ++j) x.raw()[j] = cplx(signal[j], 0.0);
     auto y = cx.template alloc<cplx>(n, "spectrum");

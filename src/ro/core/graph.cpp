@@ -7,21 +7,36 @@
 
 namespace ro {
 
+PartCursor source_of(const TaskGraph& g, size_t k) {
+  PartCursor c;
+  if (!g.streaming()) {
+    c.cur_ = TraceStore::Cursor(g.accesses.data(), g.accesses.size());
+    c.acc_count_ = g.accesses.size();
+    return c;
+  }
+  RO_CHECK_MSG(g.streams.size() == std::max<size_t>(g.shards.size(), 1),
+               "streamed graph must carry one part per shard span");
+  RO_CHECK_MSG(k < g.streams.size(), "stream part out of range");
+  const StreamPart& part = g.streams[k];
+  c.cur_ = TraceStore::Cursor(*part.store);
+  c.acc_base_ = part.acc_base;
+  c.acc_count_ = part.acc_count;
+  c.act_off_ = g.shards.empty() ? 0 : g.shards[k].first_act;
+  return c;
+}
+
 void AccessReader::seek(uint64_t i) {
   RO_CHECK_MSG(i < g_->acc_count(), "access index out of range");
-  // Parts are contiguous and sorted by acc_base; scans are sequential or
-  // near-sequential, so a binary search on the rare part switch is plenty.
+  // Parts are contiguous and sorted by acc_base (a resident graph has one);
+  // scans are sequential or near-sequential, so a binary search on the
+  // rare part switch is plenty.
   size_t lo = 0, hi = g_->streams.size();
   while (hi - lo > 1) {
     const size_t mid = lo + (hi - lo) / 2;
     if (g_->streams[mid].acc_base <= i) lo = mid;
     else hi = mid;
   }
-  const StreamPart& part = g_->streams[lo];
-  base_ = part.acc_base;
-  count_ = part.acc_count;
-  act_off_ = g_->shards.empty() ? 0 : g_->shards[lo].first_act;
-  cur_ = TraceStore::Cursor(*part.store);
+  cur_ = source_of(*g_, lo);
 }
 
 uint64_t TaskGraph::seg_cost(const Segment& s) const {

@@ -97,11 +97,7 @@ struct GraphStats {
 /// of the graph's global access index space.  Record `i - acc_base` of the
 /// store is global access `i`; activation ids inside streamed records stay
 /// part-local (the store is immutable and shared), so readers add the
-/// owning span's `first_act` when translating them (see AccessReader and
-/// sched/replay.cpp's stream source).  Whether the store compresses its
-/// spilled segments (trace_codec.h) is invisible here: cursors always
-/// yield the decoded 16-byte records, so every reader — including the
-/// replay walk — is representation-oblivious.
+/// owning span's `first_act` when translating them (PartCursor below).
 struct StreamPart {
   std::shared_ptr<TraceStore> store;
   uint64_t acc_base = 0;
@@ -172,32 +168,56 @@ class TaskGraph {
   uint64_t seg_cost(const Segment& s, AccessReader& rd) const;
 };
 
-/// Uniform reader over a graph's access stream — the resident vector or
-/// the chunked stores — with one pinned trace segment of cache.  Returns
-/// records by value, with part-local activation ids of streamed records
-/// translated into the graph's global id space, so resident and streamed
-/// reads are indistinguishable to callers.  Not thread-safe; create one
-/// per thread.
+/// Reader of one part of a graph's access stream, by global access index,
+/// with one pinned trace segment of cache.  Part k of a streamed graph is
+/// its StreamPart: the store's records at [acc_base, acc_base + acc_count),
+/// whose part-local activation ids get the span's first_act added back.
+/// A resident graph is one part: `accesses` with acc_base = 0 and
+/// act_off = 0 (merge_shards already rewrote its ids).  Each replay core
+/// owns one cursor per span, so cursors are cheap to copy.
+class PartCursor {
+ public:
+  PartCursor() = default;
+
+  bool contains(uint64_t i) const { return i - acc_base_ < acc_count_; }
+
+  Access at(uint64_t i) {
+    Access a = cur_.at(i - acc_base_);
+    if (a.act != kNoAct) a.act += act_off_;
+    return a;
+  }
+
+ private:
+  friend PartCursor source_of(const TaskGraph& g, size_t k);
+
+  TraceStore::Cursor cur_;
+  uint64_t acc_base_ = 0;
+  uint64_t acc_count_ = 0;
+  uint32_t act_off_ = 0;
+};
+
+/// The cursor over part k of g's access stream: span k's StreamPart when
+/// the graph is streamed, the resident `accesses` for every k otherwise.
+PartCursor source_of(const TaskGraph& g, size_t k);
+
+/// Uniform reader over a graph's whole access stream: a PartCursor that
+/// moves to whichever part holds the index it is asked for, so resident
+/// and streamed reads are indistinguishable to callers.  Not thread-safe;
+/// create one per thread.
 class AccessReader {
  public:
   explicit AccessReader(const TaskGraph& g) : g_(&g) {}
 
   Access at(uint64_t i) {
-    if (!g_->streaming()) return g_->accesses[i];
-    if (i - base_ >= count_) seek(i);  // wraps when i < base_ -> seek
-    Access a = cur_.at(i - base_);
-    if (a.act != kNoAct) a.act += act_off_;
-    return a;
+    if (!cur_.contains(i)) seek(i);
+    return cur_.at(i);
   }
 
  private:
   void seek(uint64_t i);
 
   const TaskGraph* g_;
-  uint64_t base_ = 0;
-  uint64_t count_ = 0;
-  uint32_t act_off_ = 0;
-  TraceStore::Cursor cur_;
+  PartCursor cur_;
 };
 
 /// Fuses independent single-shard recordings into one batch TaskGraph.

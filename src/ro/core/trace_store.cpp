@@ -116,7 +116,6 @@ void TraceStore::seal() {
   if (sealed_.load(std::memory_order_relaxed)) return;
   seal_open_locked();
   sealed_.store(true, std::memory_order_release);
-  cv_.notify_all();
 }
 
 void TraceStore::seal_open_locked() {
@@ -126,8 +125,6 @@ void TraceStore::seal_open_locked() {
   entries_[seg].count = open_.size();
   insert_resident_locked(seg, make_slab(std::move(open_)));
   open_.clear();
-  // The watermark moved: wake readers blocked on this segment.
-  cv_.notify_all();
 }
 
 void TraceStore::insert_resident_locked(uint64_t seg, SlabPtr p) {
@@ -168,21 +165,14 @@ void TraceStore::spill_locked(uint64_t seg) {
   RO_CHECK(e.resident != nullptr && !e.spilled);
   ensure_file_locked();
   const std::vector<Access>& recs = *e.resident;
-  const uint64_t raw = recs.size() * sizeof(Access);
   std::vector<uint8_t> enc;
-  const uint8_t* src = reinterpret_cast<const uint8_t*>(recs.data());
-  uint64_t nbytes = raw;
-  if (opt_.compress) {
-    encode_accesses(recs.data(), recs.size(), enc);
-    src = enc.data();
-    nbytes = enc.size();
-  }
+  encode_accesses(recs.data(), recs.size(), enc);
   e.file_off = file_end_;
-  e.file_bytes = nbytes;
-  file_end_ += nbytes;
-  pwrite_full(fd_, src, nbytes, e.file_off);
-  spilled_bytes_ += raw;
-  compressed_bytes_ += nbytes;
+  e.file_bytes = enc.size();
+  file_end_ += enc.size();
+  pwrite_full(fd_, enc.data(), enc.size(), e.file_off);
+  spilled_bytes_ += recs.size() * sizeof(Access);
+  compressed_bytes_ += enc.size();
   e.spilled = true;
 }
 
@@ -190,13 +180,9 @@ TraceStore::SlabPtr TraceStore::load_segment_locked(uint64_t seg) {
   Entry& e = entries_[seg];
   RO_CHECK_MSG(e.spilled && fd_ >= 0, "evicted trace segment was not spilled");
   std::vector<Access> recs = take_buffer(e.count);
-  if (opt_.compress) {
-    std::vector<uint8_t> enc(e.file_bytes);
-    pread_full(fd_, enc.data(), e.file_bytes, e.file_off);
-    decode_accesses(enc.data(), enc.size(), recs.data(), recs.size());
-  } else {
-    pread_full(fd_, recs.data(), e.file_bytes, e.file_off);
-  }
+  std::vector<uint8_t> enc(e.file_bytes);
+  pread_full(fd_, enc.data(), e.file_bytes, e.file_off);
+  decode_accesses(enc.data(), enc.size(), recs.data(), recs.size());
   ++segment_loads_;
   SlabPtr p = make_slab(std::move(recs));
   insert_resident_locked(seg, p);
@@ -204,12 +190,9 @@ TraceStore::SlabPtr TraceStore::load_segment_locked(uint64_t seg) {
 }
 
 TraceStore::SlabPtr TraceStore::segment(uint64_t seg) {
-  std::unique_lock<std::mutex> lk(mu_);
-  // The watermark handoff: block until the recorder seals this segment
-  // (sealed segments are immutable) or seals the store.
-  cv_.wait(lk, [&] {
-    return seg < entries_.size() || sealed_.load(std::memory_order_acquire);
-  });
+  std::lock_guard<std::mutex> lk(mu_);
+  RO_CHECK_MSG(sealed_.load(std::memory_order_acquire),
+               "trace store read before seal()");
   RO_CHECK_MSG(seg < entries_.size(), "trace segment out of range");
   Entry& e = entries_[seg];
   if (e.resident != nullptr) {
@@ -228,10 +211,10 @@ TraceStore::SlabPtr TraceStore::segment(uint64_t seg) {
 }
 
 const Access& TraceStore::Cursor::fault(uint64_t i) {
-  RO_CHECK_MSG(store_ != nullptr, "read through an empty trace cursor");
+  RO_CHECK_MSG(store_ != nullptr, "trace cursor out of range");
   const uint64_t cap = store_->opt_.segment_tasks;
   const uint64_t seg = i / cap;
-  pin_ = store_->segment(seg);  // may block on the seal watermark
+  pin_ = store_->segment(seg);
   recs_ = pin_->data();
   first_ = seg * cap;
   count_ = pin_->size();
@@ -244,18 +227,12 @@ uint64_t TraceStore::segment_count() const {
   return entries_.size() + (open_.empty() ? 0 : 1);
 }
 
-uint64_t TraceStore::sealed_segment_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
-}
-
 TraceStore::Stats TraceStore::stats() const {
   // Byte counters are exact once sealed; mid-record they lag the
   // recorder by at most the open segment (which only its thread sees).
   std::lock_guard<std::mutex> lk(mu_);
   Stats s;
   s.segments = entries_.size() + (open_.empty() ? 0 : 1);
-  s.sealed_segments = entries_.size();
   s.records = records_.load(std::memory_order_acquire);
   s.spilled_bytes = spilled_bytes_;
   s.compressed_bytes = compressed_bytes_;

@@ -13,30 +13,25 @@
 // Segment k covers record indices [k*C, (k+1)*C) for capacity C
 // (`Options::segment_tasks`, counted in task access records), so index
 // lookup is O(1).  Spilled segments are delta/varint compressed
-// (trace_codec.h) unless `Options::compress` is off, so their on-disk
-// extent is variable: each sealed segment carries its own file offset
-// and byte length, allocated append-only.  A task segment whose access
-// run straddles a seal simply spans two trace segments — cursors cross
-// the boundary transparently, which is what keeps the streaming replay
-// bit-identical to the in-memory walk (docs/streaming.md).
+// (trace_codec.h), so their on-disk extent is variable: each sealed
+// segment carries its own file offset and byte length, allocated
+// append-only.  A task segment whose access run straddles a seal simply
+// spans two trace segments — cursors cross the boundary transparently,
+// which is what keeps the streaming replay bit-identical to the
+// in-memory walk (docs/streaming.md).
 //
-// Lifecycle: a single recorder thread append()s and seal()s.  Spilling
-// is synchronous — a seal that pushes the window past its bound
-// compresses and writes the oldest resident segment on the recorder's
-// thread — so the store's byte counts and resident high-water depend
-// only on the trace and on the order readers fault segments.  *Sealed*
-// segments are immutable the moment the seal happens, so readers do not
-// have to wait for seal(): segment() blocks on a condition variable
-// until the requested segment seals (or the store seals, whichever is
-// first) — the sealed-segment watermark, a producer/consumer handoff a
-// reader on another thread can consume while recording continues.
-// After seal() the store is immutable and any number of replay threads
-// may read it concurrently (one mutex serializes window bookkeeping and
-// segment IO; cursors touch it only when crossing a segment boundary).
+// Lifecycle: record, seal(), then read.  A single recorder thread
+// append()s and seal()s.  Spilling is synchronous — a seal that pushes
+// the window past its bound compresses and writes the oldest resident
+// segment on the recorder's thread — so the store's byte counts and
+// resident high-water depend only on the trace and on the order readers
+// fault segments.  A cursor fault before seal() fails.  After seal() the
+// store is immutable and any number of replay threads may read it
+// concurrently (one mutex serializes window bookkeeping and segment IO;
+// cursors touch it only when crossing a segment boundary).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -63,15 +58,10 @@ class TraceStore {
     /// The file is unlinked immediately after creation, so spilled bytes
     /// vanish with the store (or the process) and never leak on disk.
     std::string spill_dir;
-    /// Delta/varint-compress segments on spill (trace_codec.h).  Raw
-    /// records are kept only while resident; reload decompresses into a
-    /// pooled slab.  Off = the raw 16-byte on-disk layout.
-    bool compress = true;
   };
 
   struct Stats {
     uint64_t segments = 0;           // sealed + open
-    uint64_t sealed_segments = 0;    // the reader-visible watermark
     uint64_t records = 0;            // accesses appended
     uint64_t spilled_bytes = 0;      // record bytes ever spilled (raw size)
     uint64_t compressed_bytes = 0;   // physical bytes written to the file
@@ -93,7 +83,7 @@ class TraceStore {
   /// Seals the open segment and freezes the store; idempotent.
   void seal();
 
-  // ---- read side (any thread; sealed segments readable mid-record) ----
+  // ---- read side (any thread, once sealed) ----
 
   /// Records appended so far (the recorder's running access count).
   uint64_t size() const { return records_.load(std::memory_order_acquire); }
@@ -101,9 +91,6 @@ class TraceStore {
   bool sealed() const { return sealed_.load(std::memory_order_acquire); }
   const Options& options() const { return opt_; }
   uint64_t segment_count() const;
-  /// Sealed segments so far — the watermark concurrent readers can
-  /// consume while recording continues.
-  uint64_t sealed_segment_count() const;
   Stats stats() const;
 
   /// Streaming reader with one pinned segment of cache: `at(i)` is a raw
@@ -112,13 +99,14 @@ class TraceStore {
   /// simulated core of a replayer owns one Cursor, so concurrent cursors
   /// never invalidate each other — eviction only drops the *store's*
   /// reference, the pin keeps the segment alive until the cursor moves.
-  /// A fault into a not-yet-sealed segment blocks until the recorder
-  /// seals it (the watermark handoff); reading past the end of a sealed
-  /// store fails.
+  /// A fault into a store that is not sealed yet, or past its end, fails.
+  /// A cursor over records already in memory has the whole array as its
+  /// one pinned segment and no store to fault into.
   class Cursor {
    public:
     Cursor() = default;
     explicit Cursor(TraceStore& s) : store_(&s) {}
+    Cursor(const Access* recs, uint64_t n) : recs_(recs), count_(n) {}
 
     const Access& at(uint64_t i) {
       const uint64_t off = i - first_;  // wraps when i < first_ -> fault
@@ -174,7 +162,6 @@ class TraceStore {
   std::shared_ptr<Shared> shared_ = std::make_shared<Shared>();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;      // sealed-segment watermark + seal()
   std::vector<Entry> entries_;      // sealed segments
   std::vector<uint64_t> window_;    // resident sealed segments, LRU order
   std::vector<Access> open_;        // the segment being recorded

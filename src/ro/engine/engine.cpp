@@ -541,12 +541,12 @@ JobResult Engine::submit(const JobSpec& spec,
 
 RunReport Engine::replay(const TaskGraph& g, Backend backend,
                          const SimConfig& sim, bool seq_baseline,
-                         const std::string& label, const GraphStats* stats) {
+                         const std::string& label) {
   RunReport r;
   r.label = label;
   r.backend = backend;
   r.has_graph = true;
-  r.graph = stats ? *stats : g.stats();
+  r.graph = g.stats();
   const auto t0 = std::chrono::steady_clock::now();
   fill_replay(r, g, backend, sim, seq_baseline);
   r.wall_ms = ms_since(t0);

@@ -134,60 +134,46 @@ class Engine {
   // ---- the two phases, for benches that replay one trace many times ----
 
   /// Records `prog` through a fresh TraceCtx (the Engine-owned virtual
-  /// address space) and returns the graph + stats for repeated replay.
-  /// The stats are the ones the recorder computed while recording; the
-  /// trace is not read back.
+  /// address space) and returns the graph for repeated replay.  Its
+  /// recorded_stats are the ones the recorder computed while recording;
+  /// the trace is not read back.
   /// `shard` selects the address shard recorded into (0 = the classic
   /// single-shard layout); replay rebases per shard, so the shard choice
   /// never changes the replayed Metrics.  Recording reads the *process
   /// default* SPMS tuning: submit() is the entry point that coordinates
   /// per-job tunings.
   template <class Prog>
-  Recording record(Prog&& prog, bool padded = false,
+  TaskGraph record(Prog&& prog, bool padded = false,
                    uint64_t align_words = 4096, uint32_t shard = 0) {
-    Recording rec;
-    rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
-                                     nullptr, padded, align_words, shard);
-    rec.stats = rec.graph.stats();
-    return rec;
+    return detail::record_graph(AnyProg(std::forward<Prog>(prog)), nullptr,
+                                padded, align_words, shard);
   }
 
   /// Streaming flavour of record(): access records go through a chunked
   /// ro::TraceStore with a bounded resident window (`stream`), sealed
   /// segments spilling to disk, so the trace never has to fit in memory.
-  /// The returned Recording replays through the exact same entry points
-  /// (replay / simulate) with bit-identical Metrics; the graph keeps the
-  /// store alive via its StreamPart.
+  /// The returned graph replays through the exact same entry points
+  /// (replay / simulate) with bit-identical Metrics and keeps the store
+  /// alive via its StreamPart.
   template <class Prog>
-  Recording record_stream(Prog&& prog, const StreamOptions& stream,
+  TaskGraph record_stream(Prog&& prog, const StreamOptions& stream,
                           bool padded = false, uint64_t align_words = 4096,
                           uint32_t shard = 0) {
     RO_CHECK_MSG(stream.segment_tasks > 0,
                  "record_stream needs a trace segment capacity");
-    Recording rec;
-    rec.graph = detail::record_graph(AnyProg(std::forward<Prog>(prog)),
-                                     &stream, padded, align_words, shard);
-    rec.stats = rec.graph.stats();
-    return rec;
+    return detail::record_graph(AnyProg(std::forward<Prog>(prog)), &stream,
+                                padded, align_words, shard);
   }
 
   /// Replays a recorded graph on one simulated machine.  `backend` may be
   /// kSeq (p = 1 depth-first replay), kSimPws or kSimRws; parallel backends
   /// cannot replay a trace.  With `seq_baseline`, a p=1 replay is added so
   /// the report carries Q(n,M,B), the cache-miss excess and the simulated
-  /// speedup.  The report's graph stats are `stats` when given, else
-  /// g.stats(): the recorded ones, and analyze() only for a graph that
-  /// was not recorded (built by hand or fused by merge_shards).
+  /// speedup.  The report's graph stats are g.stats(): the recorded ones,
+  /// and analyze() only for a graph that was not recorded (built by hand
+  /// or fused by merge_shards).
   RunReport replay(const TaskGraph& g, Backend backend, const SimConfig& sim,
-                   bool seq_baseline = true, const std::string& label = "",
-                   const GraphStats* stats = nullptr);
-
-  /// Recording-aware overload: reuses the stats computed at record time.
-  RunReport replay(const Recording& rec, Backend backend,
-                   const SimConfig& sim, bool seq_baseline = true,
-                   const std::string& label = "") {
-    return replay(rec.graph, backend, sim, seq_baseline, label, &rec.stats);
-  }
+                   bool seq_baseline = true, const std::string& label = "");
 
   /// The ro-doctor closed loop over one recorded trace (docs/doctor.md):
   /// a profiled replay on `sim`'s machine (ContentionProfile attached),
@@ -200,13 +186,6 @@ class Engine {
                                 const SimConfig& sim,
                                 const doctor::DoctorOptions& opt = {},
                                 const std::string& label = "");
-
-  doctor::DoctorReport diagnose(const Recording& rec, Backend backend,
-                                const SimConfig& sim,
-                                const doctor::DoctorOptions& opt = {},
-                                const std::string& label = "") {
-    return diagnose(rec.graph, backend, sim, opt, label);
-  }
 
   /// Pools ever constructed by this engine's cache (tests/observability).
   uint64_t pools_created() const { return pool_cache_.created(); }

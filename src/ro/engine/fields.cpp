@@ -44,7 +44,6 @@ const Field<JobSpec> kJobFields[] = {
     ROW("capacity_shared", opt.capacity_shared),
     ROW("segment_tasks", opt.trace.segment_tasks, 0, kMaxSegmentTasks),
     ROW("max_resident_segments", opt.trace.max_resident_segments),
-    ROW("compress", opt.trace.compress),
     ROW("threads", opt.threads, 0, rt::kMaxPoolThreads),
     ROW("serial_below", opt.serial_below),
     ROW("numa_groups", opt.numa_groups),

@@ -26,15 +26,12 @@ struct StreamOptions {
                                        // 0 = classic in-memory recording
   uint32_t max_resident_segments = 4;  // resident window (0 = unbounded)
   std::string spill_dir;               // "" = the system temp directory
-  bool compress = true;                // delta/varint-encode spilled
-                                       // segments (trace_codec.h)
 
   TraceStore::Options store_options() const {
     TraceStore::Options o;
     o.segment_tasks = segment_tasks;
     o.max_resident_segments = max_resident_segments;
     o.spill_dir = spill_dir;
-    o.compress = compress;
     return o;
   }
 };
@@ -80,13 +77,6 @@ struct RunOptions {
   // drain, then installs its override for the duration of its group
   // (detail::TuningGate).  Unset = the process default.
   std::optional<alg::SpmsTuning> spms;
-};
-
-/// A recorded computation plus the stats the recorder computed
-/// (Engine::record; equal to graph.recorded_stats).
-struct Recording {
-  TaskGraph graph;
-  GraphStats stats;
 };
 
 /// The replay scheduler a (non-parallel) backend selects.

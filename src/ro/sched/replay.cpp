@@ -49,45 +49,6 @@ uint64_t data_words(const ShardSpan& span, const SimConfig& cfg) {
   return end - span.base;
 }
 
-/// Access source over the resident TaskGraph::accesses vector — the
-/// degenerate store whose one "segment" is the whole array.
-struct VecSource {
-  const Access* base = nullptr;
-  struct Cursor {
-    const Access* base = nullptr;
-    Access at(uint64_t i) const { return base[i]; }
-  };
-  Cursor cursor() const { return Cursor{base}; }
-};
-
-/// Access source over one shard's chunked TraceStore (trace_store.h):
-/// global access index -> store record (minus the part's acc_base), and
-/// part-local activation ids -> graph-global ids (plus the span's
-/// first_act — streamed records are immutable, so merge_shards never
-/// rewrote them).  Each simulated core owns one Cursor, pinning one trace
-/// segment; crossing a seal boundary faults the next segment in (a disk
-/// reload when it was spilled), which is the entire difference between
-/// the streaming walk and the resident one — the scheduling decisions
-/// consume identical records, hence bit-identical Metrics.
-struct StreamSource {
-  TraceStore* store = nullptr;
-  uint64_t acc_base = 0;
-  uint32_t act_off = 0;
-  struct Cursor {
-    TraceStore::Cursor cur;
-    uint64_t acc_base = 0;
-    uint32_t act_off = 0;
-    Access at(uint64_t i) {
-      Access a = cur.at(i - acc_base);
-      if (a.act != kNoAct) a.act += act_off;
-      return a;
-    }
-  };
-  Cursor cursor() const {
-    return Cursor{TraceStore::Cursor(*store), acc_base, act_off};
-  }
-};
-
 /// Sized data region of each span and its rebased offset in a replayer's
 /// address space.  Span s's recorded address a maps to
 /// off[s] + (a - span.base); off[0] == 0, so a single-span replayer sees
@@ -127,19 +88,22 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
 /// the shared cores and whose misses/transfers can be attributed per span
 /// through `shares`.
 ///
-/// The access stream is consumed through per-core, per-span cursors of
-/// `Source` (VecSource / StreamSource above), never by walking a resident
-/// array directly, so the same scheduling loop serves both the in-memory
-/// and the bounded-memory streaming representations.
-template <class Source>
+/// The access stream is consumed through per-core, per-span PartCursors
+/// (core/graph.h, built by source_of), so the same scheduling loop serves
+/// both the in-memory and the bounded-memory streaming representations:
+/// crossing a seal boundary of a streamed part faults the next segment in
+/// (a disk reload when it was spilled), which is the entire difference
+/// between the two walks — the scheduling decisions consume identical
+/// records, hence bit-identical Metrics.
 class ShardReplayer {
  public:
+  /// `srcs[s]` reads span s's accesses.
   ShardReplayer(const TaskGraph& g, std::vector<ShardSpan> spans,
                 SchedKind kind, const SimConfig& cfg,
-                std::vector<Source> srcs,
+                const std::vector<PartCursor>& srcs,
                 std::vector<TenantShare>* shares = nullptr)
       : g_(g), spans_(std::move(spans)), kind_(kind), cfg_(cfg),
-        srcs_(std::move(srcs)), shares_(shares),
+        shares_(shares),
         sp_(cfg.effective_steal_latency()),
         layout_(layout_spans(spans_, cfg,
                              g.align_words ? g.align_words : 4096)),
@@ -148,7 +112,7 @@ class ShardReplayer {
         rng_(cfg.seed) {
     RO_CHECK_MSG(cfg_.p >= 1 && cfg_.p <= 64, "p must be in [1, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");
-    RO_CHECK_MSG(!spans_.empty() && spans_.size() == srcs_.size(),
+    RO_CHECK_MSG(!spans_.empty() && spans_.size() == srcs.size(),
                  "one access source per span");
     if (kind_ == SchedKind::kSeq) {
       RO_CHECK_MSG(cfg_.p == 1, "sequential schedule needs p == 1");
@@ -169,9 +133,7 @@ class ShardReplayer {
     cores_.reserve(cfg_.p);
     for (uint32_t i = 0; i < cfg_.p; ++i) {
       cores_.emplace_back(i, lines, l2_lines);
-      for (const Source& src : srcs_) {
-        cores_.back().curs.push_back(src.cursor());
-      }
+      cores_.back().curs = srcs;
     }
     astate_.assign(acts, ActState{0, 0, kUnresolved});
     sstate_.resize(segs);
@@ -227,7 +189,7 @@ class ShardReplayer {
     uint32_t cur_arena = kNoCore;  // stack the core pushes frames on
     // This core's window into each span's trace (one cursor per span; a
     // classic single-span unit has exactly one).
-    std::vector<typename Source::Cursor> curs;
+    std::vector<PartCursor> curs;
     std::deque<uint32_t> dq;  // stealable right children; back = bottom
     FlatLru cache;               // private L1
     FlatLru l2;                  // L2 partition (§5.2)
@@ -680,7 +642,6 @@ class ShardReplayer {
   std::vector<ShardSpan> spans_;
   SchedKind kind_;
   SimConfig cfg_;
-  std::vector<Source> srcs_;
   std::vector<TenantShare>* shares_;
   uint32_t sp_;
   SpanLayout layout_;
@@ -702,7 +663,7 @@ struct Unit {
   SchedKind kind = SchedKind::kSeq;
   SimConfig cfg;
   uint32_t job = 0;   // owning ReplayJob (simulate_all)
-  int32_t part = -1;  // StreamPart index when the graph is streamed
+  uint32_t part = 0;  // index of `span` in the graph (source_of)
 };
 
 SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
@@ -711,14 +672,9 @@ SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
 }
 
 Metrics run_unit(const Unit& u) {
-  if (u.part >= 0) {
-    const StreamPart& part = u.g->streams[static_cast<size_t>(u.part)];
-    StreamSource src{part.store.get(), part.acc_base, u.span.first_act};
-    return ShardReplayer<StreamSource>(*u.g, {u.span}, u.kind, u.cfg, {src})
-        .run();
-  }
-  VecSource src{u.g->accesses.data()};
-  return ShardReplayer<VecSource>(*u.g, {u.span}, u.kind, u.cfg, {src}).run();
+  return ShardReplayer(*u.g, {u.span}, u.kind, u.cfg,
+                       {source_of(*u.g, u.part)})
+      .run();
 }
 
 /// Host pool for the parallel replay phase.  A flat random-stealing pool
@@ -775,13 +731,9 @@ std::vector<Unit> units_of(const TaskGraph& g, SchedKind kind,
   std::vector<Unit> units;
   const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  if (g.streaming()) {
-    RO_CHECK_MSG(g.streams.size() == spans.size(),
-                 "streamed graph must carry one part per shard span");
-  }
   for (size_t k = 0; k < spans.size(); ++k) {
-    units.push_back(Unit{&g, spans[k], kind, ecfg, job,
-                         g.streaming() ? static_cast<int32_t>(k) : -1});
+    units.push_back(
+        Unit{&g, spans[k], kind, ecfg, job, static_cast<uint32_t>(k)});
   }
   return units;
 }
@@ -827,24 +779,9 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         std::vector<TenantShare>* shares) {
   const SimConfig ecfg = effective_cfg(kind, cfg);
   const std::vector<ShardSpan> spans = g.shard_spans();
-  if (g.streaming()) {
-    RO_CHECK_MSG(g.streams.size() == spans.size(),
-                 "streamed graph must carry one part per shard span");
-    std::vector<StreamSource> srcs;
-    srcs.reserve(spans.size());
-    for (size_t k = 0; k < spans.size(); ++k) {
-      srcs.push_back(StreamSource{g.streams[k].store.get(),
-                                  g.streams[k].acc_base,
-                                  spans[k].first_act});
-    }
-    return ShardReplayer<StreamSource>(g, spans, kind, ecfg, std::move(srcs),
-                                       shares)
-        .run();
-  }
-  std::vector<VecSource> srcs(spans.size(), VecSource{g.accesses.data()});
-  return ShardReplayer<VecSource>(g, spans, kind, ecfg, std::move(srcs),
-                                  shares)
-      .run();
+  std::vector<PartCursor> srcs;
+  for (size_t k = 0; k < spans.size(); ++k) srcs.push_back(source_of(g, k));
+  return ShardReplayer(g, spans, kind, ecfg, srcs, shares).run();
 }
 
 std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,

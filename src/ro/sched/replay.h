@@ -42,16 +42,14 @@
 //
 // ## Batch schedule
 //
-// The replayer never needs the whole trace up front: its stream cursors
-// fault one sealed TraceStore segment at a time, and a fault into a
-// segment the recorder has not sealed yet blocks on the seal watermark
-// (trace_store.h).  Within one shard the walk still has to wait for
-// recording to finish — start_act charges the activation's frame_words,
-// which the recorder only knows at the activation's end — so the Engine
-// overlaps at coarser grain: each shard of a batch is one
-// record -> replay chain on a host pool, and shard i replays
-// while shard j still records.  Metrics are unaffected: every walk
-// consumes the same sealed records.
+// The replayer never needs the whole trace resident: its stream cursors
+// fault one TraceStore segment at a time.  It does need the whole trace
+// *recorded*: start_act charges the activation's frame_words, which the
+// recorder only knows at the activation's end, and a store is read only
+// after its recorder seals it (trace_store.h).  So the Engine overlaps at
+// shard grain: each shard of a batch is one record -> replay chain on a
+// host pool, and shard i replays while shard j still records.  Metrics
+// are unaffected: every walk consumes the same sealed records.
 #pragma once
 
 #include <cstdint>

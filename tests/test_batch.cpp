@@ -71,15 +71,15 @@ TEST(ShardCtx, ShardChoiceOnlyOffsetsAddresses) {
   const size_t n = 512;
   auto prog = prog_route(n);
   Engine& eng = testing::engine();
-  const Recording r0 = eng.record(prog);
-  const Recording r5 = eng.record(prog, false, 4096, /*shard=*/5);
-  ASSERT_EQ(r0.graph.accesses.size(), r5.graph.accesses.size());
-  EXPECT_EQ(r0.graph.acts, r5.graph.acts);
+  const TaskGraph r0 = eng.record(prog);
+  const TaskGraph r5 = eng.record(prog, false, 4096, /*shard=*/5);
+  ASSERT_EQ(r0.accesses.size(), r5.accesses.size());
+  EXPECT_EQ(r0.acts, r5.acts);
   const vaddr_t base5 = shard_base(5);
-  EXPECT_EQ(r5.graph.data_base, base5);
-  for (size_t i = 0; i < r0.graph.accesses.size(); ++i) {
-    const Access& a0 = r0.graph.accesses[i];
-    const Access& a5 = r5.graph.accesses[i];
+  EXPECT_EQ(r5.data_base, base5);
+  for (size_t i = 0; i < r0.accesses.size(); ++i) {
+    const Access& a0 = r0.accesses[i];
+    const Access& a5 = r5.accesses[i];
     if (a0.act == kNoAct) {
       EXPECT_EQ(a5.addr, a0.addr + base5);
     } else {
@@ -87,8 +87,8 @@ TEST(ShardCtx, ShardChoiceOnlyOffsetsAddresses) {
     }
   }
   const SimConfig cfg = small_machine();
-  EXPECT_EQ(simulate(r0.graph, SchedKind::kPws, cfg),
-            simulate(r5.graph, SchedKind::kPws, cfg));
+  EXPECT_EQ(simulate(r0, SchedKind::kPws, cfg),
+            simulate(r5, SchedKind::kPws, cfg));
 }
 
 TEST(Batch, ConcurrentRecordingMatchesSequential) {
@@ -128,8 +128,8 @@ TEST(Batch, MergeShardsRemapsIndices) {
   const size_t n = 128;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
+  parts.push_back(eng.record(prog_route(n), false, 4096, 0));
+  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
   const size_t acts0 = parts[0].acts.size();
   const size_t segs0 = parts[0].segments.size();
   const size_t accs0 = parts[0].accesses.size();
@@ -176,9 +176,9 @@ TEST(Batch, MergedReplayEqualsStandaloneReplays) {
   const size_t n = 192;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
-  parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2).graph);
+  parts.push_back(eng.record(prog_route(n), false, 4096, 0));
+  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
+  parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2));
   const SimConfig cfg = small_machine();
   std::vector<Metrics> lone;
   for (const TaskGraph& g : parts) {
@@ -200,9 +200,9 @@ TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
-  parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2).graph);
+  parts.push_back(eng.record(prog_route(n), false, 4096, 0));
+  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
+  parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2));
 
   for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
     for (const TaskGraph& g : parts) {  // single-shard traces
@@ -361,9 +361,9 @@ TEST(Batch, ReplayMatchesFrozenGoldens) {
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
-  parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2).graph);
+  parts.push_back(eng.record(prog_route(n), false, 4096, 0));
+  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
+  parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2));
   const std::vector<std::string> names = {"route", "listrank", "spms"};
   const auto machine = [](const std::string& name) {
     SimConfig cfg = small_machine(1);

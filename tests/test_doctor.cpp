@@ -66,13 +66,13 @@ TEST(AddressRemap, PaddingRuleSpreadsWords) {
 TEST(AddressRemap, RoundTripOverRecordedAddresses) {
   // The property the verify step rests on: remap then unmap is the
   // identity on every *recorded* data address of a real trace.
-  const Recording rec = engine().record(wl::counters(8, 16, 1));
+  const TaskGraph rec = engine().record(wl::counters(8, 16, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "rt");
   ASSERT_FALSE(d.plan.remap.empty());
   const AddressRemap& rm = d.plan.remap;
   size_t data = 0, moved = 0;
-  for (const Access& a : rec.graph.accesses) {
+  for (const Access& a : rec.accesses) {
     if (a.act != kNoAct) continue;  // frame slots are never remapped
     ++data;
     const vaddr_t to = rm.apply(a.addr);
@@ -88,7 +88,7 @@ TEST(AddressRemap, RoundTripOverRecordedAddresses) {
 // ---- ContentionProfile determinism ----
 
 TEST(ContentionProfile, PackedCountersAttribution) {
-  const Recording rec = engine().record(wl::counters(8, 16, 1));
+  const TaskGraph rec = engine().record(wl::counters(8, 16, 1));
   ContentionProfile prof;
   SimConfig cfg = doctor_cfg();
   cfg.profile = &prof;
@@ -105,9 +105,8 @@ TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
   // the host walks shards (and their cores) on 1 / 2 / 8 threads, and the
   // merged attribution must be bit-identical every time.
   std::vector<TaskGraph> parts;
-  parts.push_back(engine().record(wl::counters(8, 16, 1), false, 4096, 0)
-                      .graph);
-  parts.push_back(engine().record(wl::msum(512), false, 4096, 1).graph);
+  parts.push_back(engine().record(wl::counters(8, 16, 1), false, 4096, 0));
+  parts.push_back(engine().record(wl::msum(512), false, 4096, 1));
   const TaskGraph merged = merge_shards(std::move(parts));
 
   ContentionProfile base;
@@ -169,7 +168,7 @@ TEST(ContentionProfile, MatchesFrozenGoldenOnPackedCounters) {
   // retired (FlatLru agreed bit for bit): every recorded invalidation,
   // coherence miss and transfer on the packed-counter adversary, the
   // doctor's diagnostic input.
-  const Recording rec = engine().record(wl::counters(8, 16, 1));
+  const TaskGraph rec = engine().record(wl::counters(8, 16, 1));
   ContentionProfile prof;
   SimConfig cfg = doctor_cfg();
   cfg.profile = &prof;
@@ -187,7 +186,7 @@ TEST(ContentionProfile, DeterministicAcrossStreamWindows) {
   // 1 / 2 / unbounded profiles identically to the in-memory walk.
   ContentionProfile mem;
   {
-    const Recording rec = engine().record(wl::counters(8, 32, 1));
+    const TaskGraph rec = engine().record(wl::counters(8, 32, 1));
     SimConfig cfg = doctor_cfg();
     cfg.profile = &mem;
     engine().replay(rec, Backend::kSimPws, cfg, false);
@@ -197,7 +196,7 @@ TEST(ContentionProfile, DeterministicAcrossStreamWindows) {
     StreamOptions stream;
     stream.segment_tasks = 64;
     stream.max_resident_segments = w;
-    const Recording rec =
+    const TaskGraph rec =
         engine().record_stream(wl::counters(8, 32, 1), stream);
     ContentionProfile prof;
     SimConfig cfg = doctor_cfg();
@@ -222,7 +221,7 @@ TEST(ContentionProfile, MergeSums) {
 // ---- the closed loop ----
 
 TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
-  const Recording rec = engine().record(wl::counters(8, 64, 1));
+  const TaskGraph rec = engine().record(wl::counters(8, 64, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "packed");
 
@@ -250,7 +249,7 @@ TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
 }
 
 TEST(Doctor, PaddedControlDiagnosesClean) {
-  const Recording rec = engine().record(wl::counters(8, 64, 32));
+  const TaskGraph rec = engine().record(wl::counters(8, 64, 32));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "padded");
   EXPECT_TRUE(d.findings.empty());
@@ -278,7 +277,7 @@ TEST(Doctor, RepairReproducesPaddedLayout) {
 // ---- JSON ----
 
 TEST(Doctor, ReportJsonRoundTrips) {
-  const Recording rec = engine().record(wl::counters(8, 32, 1));
+  const TaskGraph rec = engine().record(wl::counters(8, 32, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "json");
   const std::string j = d.to_json();
@@ -295,7 +294,7 @@ TEST(Doctor, ReportJsonRoundTrips) {
 }
 
 TEST(Report, ForwardCompatUnknownAndMissingFields) {
-  const Recording rec = engine().record(wl::counters(8, 32, 1));
+  const TaskGraph rec = engine().record(wl::counters(8, 32, 1));
   const doctor::DoctorReport d =
       engine().diagnose(rec, Backend::kSimPws, doctor_cfg(), {}, "fc");
   ASSERT_TRUE(d.before.has_contention);

@@ -137,13 +137,13 @@ TEST(Engine, RecordThenReplayMatchesRunReport) {
     cx.run(2 * n, [&] { alg::prefix_sums(cx, a.slice(), o.slice()); });
   };
   Engine& eng = testing::engine();
-  const Recording rec = eng.record(prog);
-  EXPECT_GT(rec.stats.activations, 0u);
-  EXPECT_GT(rec.stats.accesses, 0u);
+  const TaskGraph rec = eng.record(prog);
+  EXPECT_GT(rec.stats().activations, 0u);
+  EXPECT_GT(rec.stats().accesses, 0u);
 
   SimConfig cfg;
   cfg.p = 4;
-  const RunReport a = eng.replay(rec.graph, Backend::kSimPws, cfg);
+  const RunReport a = eng.replay(rec, Backend::kSimPws, cfg);
   RunOptions opt;
   opt.backend = Backend::kSimPws;
   opt.sim = cfg;
@@ -161,14 +161,14 @@ TEST(Engine, RecordThenReplayMatchesRunReport) {
 
 TEST(Engine, SeqReplayBackendIsBaseline) {
   const size_t n = 512;
-  const Recording rec = testing::engine().record([n](auto& cx) {
+  const TaskGraph rec = testing::engine().record([n](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
     auto o = cx.template alloc<i64>(1, "o");
     cx.run(n, [&] { alg::msum(cx, a.slice(), o.slice()); });
   });
   SimConfig cfg;
   cfg.p = 8;
-  const RunReport r = testing::engine().replay(rec.graph, Backend::kSeq, cfg);
+  const RunReport r = testing::engine().replay(rec, Backend::kSeq, cfg);
   EXPECT_EQ(r.p, 1u);
   EXPECT_EQ(r.sim.block_misses(), 0u);
   EXPECT_EQ(r.sim.steals(), 0u);

@@ -36,22 +36,17 @@ inline void check_schedulers(const TaskGraph& g, uint32_t p = 4,
   cfg.p = p;
   cfg.M = M;
   cfg.B = B;
-  const GraphStats st = g.analyze();  // once for all four replays
   const Metrics seq =
-      engine().replay(g, Backend::kSeq, cfg, /*seq_baseline=*/false, "", &st)
-          .sim;
+      engine().replay(g, Backend::kSeq, cfg, /*seq_baseline=*/false).sim;
   EXPECT_EQ(seq.block_misses(), 0u);
   EXPECT_EQ(seq.steals(), 0u);
-  const Metrics pws =
-      engine().replay(g, Backend::kSimPws, cfg, false, "", &st).sim;
-  const Metrics rws =
-      engine().replay(g, Backend::kSimRws, cfg, false, "", &st).sim;
+  const Metrics pws = engine().replay(g, Backend::kSimPws, cfg, false).sim;
+  const Metrics rws = engine().replay(g, Backend::kSimRws, cfg, false).sim;
   // Same computation: identical total compute under every scheduler.
   EXPECT_EQ(seq.compute(), pws.compute());
   EXPECT_EQ(seq.compute(), rws.compute());
   // Determinism of PWS.
-  const Metrics pws2 =
-      engine().replay(g, Backend::kSimPws, cfg, false, "", &st).sim;
+  const Metrics pws2 = engine().replay(g, Backend::kSimPws, cfg, false).sim;
   EXPECT_EQ(pws.makespan, pws2.makespan);
   EXPECT_EQ(pws.block_misses(), pws2.block_misses());
   // Note: makespan <= seq and the per-priority steal bound (Obs 4.3) are

@@ -191,8 +191,9 @@ TEST(JobSchema, NewerMinorWithUnknownKeysParses) {
 
 TEST(JobSchema, RetiredKeysAreIgnored) {
   // "flat_lru" selected the retired node-based LRU data plane, "pipeline"
-  // the retired choice of batch schedule.  A schema 1.x spec still
-  // carrying either parses, drops it, and runs the same machine.
+  // the retired choice of batch schedule, "compress" the retired raw
+  // spill layout.  A schema 1.x spec still carrying any of them parses,
+  // drops it, and runs the same machine.
   const std::string plain =
       "{\"schema_version\":\"1.0\",\"workload\":\"msum\",\"n\":1024,"
       "\"backend\":\"sim-pws\"}";
@@ -201,7 +202,7 @@ TEST(JobSchema, RetiredKeysAreIgnored) {
   ASSERT_TRUE(jobspec_from_json(plain, a, &err)) << err;
   const JobResult ja = ro::testing::engine().submit(a);
   ASSERT_TRUE(ja.ok()) << ja.error;
-  for (const std::string key : {"flat_lru", "pipeline"}) {
+  for (const std::string key : {"flat_lru", "pipeline", "compress"}) {
     std::string keyed = plain;
     keyed.insert(keyed.size() - 1, ",\"" + key + "\":1");
     JobSpec b;
@@ -262,7 +263,7 @@ TEST(JobSchema, DefaultSpecJsonIsByteIdenticalToSchema10) {
             "\"M2\":0,\"l2_latency\":8,\"write_hold\":0,"
             "\"replay_threads\":1,\"padded\":0,\"align_words\":4096,"
             "\"seq_baseline\":1,\"capacity_shared\":0,"
-            "\"segment_tasks\":0,\"max_resident_segments\":4,\"compress\":1,"
+            "\"segment_tasks\":0,\"max_resident_segments\":4,"
             "\"threads\":0,\"serial_below\":4096,\"numa_groups\":0,"
             "\"numa_escape\":0.0625,\"numa_pin\":0,\"doc_max_lines\":64,"
             "\"doc_min_false_events\":1}");

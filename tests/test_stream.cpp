@@ -6,10 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ro/alg/graphgen.h"
@@ -272,45 +270,15 @@ TEST(TraceStore, SequentialishTraceCompressesAtLeastFourX) {
   }
 }
 
-TEST(TraceStore, RawModeSpillsSixteenBytesPerRecord) {
-  TraceStore::Options opt;
-  opt.segment_tasks = 16;
-  opt.max_resident_segments = 1;
-  opt.compress = false;
-  TraceStore st(opt);
-  const uint64_t n = 200;
-  for (uint64_t i = 0; i < n; ++i) st.append(rec(i));
-  st.seal();
-  const TraceStore::Stats s = st.stats();
-  EXPECT_GT(s.spilled_bytes, 0u);
-  EXPECT_EQ(s.compressed_bytes, s.spilled_bytes);  // raw: physical == raw
-  TraceStore::Cursor cur(st);
-  for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(cur.at(i), rec(i)) << i;
-}
+// ---- the lifecycle: record, seal, read ----
 
-// ---- the sealed-segment watermark ----
-
-TEST(TraceStore, ReaderConsumesSealedSegmentsWhileRecording) {
+TEST(TraceStoreDeathTest, CursorReadBeforeSealDies) {
   TraceStore::Options opt;
-  opt.segment_tasks = 16;
-  opt.max_resident_segments = 2;
+  opt.segment_tasks = 4;
   TraceStore st(opt);
-  const uint64_t n = 1024;  // 64 exact segments
-  std::thread writer([&] {
-    for (uint64_t i = 0; i < n; ++i) {
-      st.append(rec(i));
-      if (i % 128 == 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    st.seal();
-  });
-  // Cursor faults block on the watermark until the recorder seals the
-  // requested segment — the record-while-replay handoff.
+  for (uint64_t i = 0; i < 9; ++i) st.append(rec(i));  // two full segments
   TraceStore::Cursor cur(st);
-  for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(cur.at(i), rec(i)) << i;
-  writer.join();
-  EXPECT_EQ(st.sealed_segment_count(), n / opt.segment_tasks);
-  EXPECT_TRUE(st.sealed());
+  EXPECT_DEATH(cur.at(0), "before seal");
 }
 
 // ---- streamed recording vs the in-memory recording ----
@@ -318,38 +286,38 @@ TEST(TraceStore, ReaderConsumesSealedSegmentsWhileRecording) {
 TEST(StreamRecord, MatchesInMemoryRecording) {
   const size_t n = 256;
   Engine& eng = testing::engine();
-  const Recording mem = eng.record(prog_route(n));
-  const Recording str = eng.record_stream(prog_route(n), tiny_stream(1));
+  const TaskGraph mem = eng.record(prog_route(n));
+  const TaskGraph str = eng.record_stream(prog_route(n), tiny_stream(1));
 
-  ASSERT_TRUE(str.graph.streaming());
-  ASSERT_FALSE(mem.graph.streaming());
+  ASSERT_TRUE(str.streaming());
+  ASSERT_FALSE(mem.streaming());
   // Identical skeleton...
-  EXPECT_EQ(str.graph.acts, mem.graph.acts);
-  EXPECT_EQ(str.graph.segments, mem.graph.segments);
-  EXPECT_EQ(str.graph.root, mem.graph.root);
-  EXPECT_EQ(str.graph.data_base, mem.graph.data_base);
-  EXPECT_EQ(str.graph.data_top, mem.graph.data_top);
+  EXPECT_EQ(str.acts, mem.acts);
+  EXPECT_EQ(str.segments, mem.segments);
+  EXPECT_EQ(str.root, mem.root);
+  EXPECT_EQ(str.data_base, mem.data_base);
+  EXPECT_EQ(str.data_top, mem.data_top);
   // ...identical stream (spilled and reloaded, record by record)...
-  ASSERT_EQ(str.graph.acc_count(), mem.graph.acc_count());
-  AccessReader rd(str.graph);
-  for (uint64_t i = 0; i < mem.graph.acc_count(); ++i) {
-    ASSERT_EQ(rd.at(i), mem.graph.accesses[i]) << "access " << i;
+  ASSERT_EQ(str.acc_count(), mem.acc_count());
+  AccessReader rd(str);
+  for (uint64_t i = 0; i < mem.acc_count(); ++i) {
+    ASSERT_EQ(rd.at(i), mem.accesses[i]) << "access " << i;
   }
   // ...identical analysis.
-  EXPECT_EQ(str.stats.work, mem.stats.work);
-  EXPECT_EQ(str.stats.span, mem.stats.span);
-  EXPECT_EQ(str.stats.accesses, mem.stats.accesses);
-  EXPECT_EQ(str.stats.leaves, mem.stats.leaves);
+  EXPECT_EQ(str.stats().work, mem.stats().work);
+  EXPECT_EQ(str.stats().span, mem.stats().span);
+  EXPECT_EQ(str.stats().accesses, mem.stats().accesses);
+  EXPECT_EQ(str.stats().leaves, mem.stats().leaves);
 }
 
 TEST(Stream, RecordStreamReadsNothingBack) {
   // The recorder computes the graph's stats as it goes, so a streamed
   // recording never reads its spilled segments back: every reload a job
   // reports belongs to its replays.
-  const Recording rec =
+  const TaskGraph rec =
       testing::engine().record_stream(prog_route(256), tiny_stream(1));
-  ASSERT_EQ(rec.graph.streams.size(), 1u);
-  const TraceStore::Stats st = rec.graph.streams[0].store->stats();
+  ASSERT_EQ(rec.streams.size(), 1u);
+  const TraceStore::Stats st = rec.streams[0].store->stats();
   EXPECT_GT(st.spilled_bytes, 0u);
   EXPECT_EQ(st.segment_loads, 0u);
 }
@@ -367,13 +335,13 @@ TEST(StreamRecord, EmptyAndForkOnlySegmentsSurviveSeals) {
   StreamOptions s;
   s.segment_tasks = 1;
   s.max_resident_segments = 1;
-  const Recording mem = eng.record(prog);
-  const Recording str = eng.record_stream(prog, s);
-  EXPECT_EQ(str.graph.acts, mem.graph.acts);
-  EXPECT_EQ(str.graph.segments, mem.graph.segments);
-  AccessReader rd(str.graph);
-  for (uint64_t i = 0; i < mem.graph.acc_count(); ++i) {
-    ASSERT_EQ(rd.at(i), mem.graph.accesses[i]);
+  const TaskGraph mem = eng.record(prog);
+  const TaskGraph str = eng.record_stream(prog, s);
+  EXPECT_EQ(str.acts, mem.acts);
+  EXPECT_EQ(str.segments, mem.segments);
+  AccessReader rd(str);
+  for (uint64_t i = 0; i < mem.acc_count(); ++i) {
+    ASSERT_EQ(rd.at(i), mem.accesses[i]);
   }
 }
 
@@ -401,14 +369,14 @@ TEST(StreamReplay, BitIdenticalAcrossWindowsAndThreads) {
   fams.push_back({"spms", prog_spms(4 * n)});
 
   for (const Family& f : fams) {
-    const Recording mem = eng.record(f.prog);
+    const TaskGraph mem = eng.record(f.prog);
     for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-      const Metrics base = simulate(mem.graph, kind, stream_machine(1));
+      const Metrics base = simulate(mem, kind, stream_machine(1));
       for (const uint32_t window : {1u, 2u, 0u}) {  // 0 = unbounded
-        const Recording str =
+        const TaskGraph str =
             eng.record_stream(f.prog, tiny_stream(window));
         for (const uint32_t threads : {1u, 2u, 8u}) {
-          EXPECT_EQ(simulate(str.graph, kind, stream_machine(threads)), base)
+          EXPECT_EQ(simulate(str, kind, stream_machine(threads)), base)
               << f.name << " " << sched_name(kind) << " window=" << window
               << " threads=" << threads;
         }
@@ -457,6 +425,28 @@ TEST(StreamReplay, MergedBatchMatchesInMemoryBatch) {
   EXPECT_TRUE(str.aggregate.has_stream);
   EXPECT_GT(str.aggregate.trace_spilled_bytes, 0u);
   EXPECT_FALSE(mem.aggregate.has_stream);
+
+  // The merged graphs read back identically through AccessReader, in
+  // both directions: a streamed part's part-local activation ids come
+  // back global, as merge_shards rewrote the resident ones.
+  Engine& eng = testing::engine();
+  std::vector<TaskGraph> mem_parts, str_parts;
+  for (size_t k = 0; k < progs.size(); ++k) {
+    const uint32_t shard = static_cast<uint32_t>(k);
+    mem_parts.push_back(eng.record(progs[k], false, 4096, shard));
+    str_parts.push_back(
+        eng.record_stream(progs[k], sopt.trace, false, 4096, shard));
+  }
+  const TaskGraph mg = merge_shards(std::move(mem_parts));
+  const TaskGraph sg = merge_shards(std::move(str_parts));
+  ASSERT_EQ(sg.streams.size(), progs.size());
+  ASSERT_EQ(sg.acc_count(), mg.acc_count());
+  AccessReader fwd(sg);
+  for (uint64_t i = 0; i < mg.acc_count(); ++i)
+    ASSERT_EQ(fwd.at(i), mg.accesses[i]) << "access " << i;
+  AccessReader back(sg);
+  for (uint64_t i = mg.acc_count(); i-- > 0;)
+    ASSERT_EQ(back.at(i), mg.accesses[i]) << "access " << i;
 }
 
 // ---- batch shards are standalone trace jobs ----
@@ -578,9 +568,9 @@ TEST(StreamReplay, GroupedReplayPoolIsMetricsDeterministic) {
   const size_t n = 192;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0).graph);
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1).graph);
-  parts.push_back(eng.record(prog_spms(2 * n), false, 4096, 2).graph);
+  parts.push_back(eng.record(prog_route(n), false, 4096, 0));
+  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
+  parts.push_back(eng.record(prog_spms(2 * n), false, 4096, 2));
   const TaskGraph merged = merge_shards(std::move(parts));
 
   const Metrics base = simulate(merged, SchedKind::kPws, stream_machine(1));

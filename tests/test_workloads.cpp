@@ -61,12 +61,12 @@ TEST(Workloads, EveryRowMatchesItsParentFingerprint) {
   for (const Fingerprint& f : kFingerprints) {
     SCOPED_TRACE(f.name);
     ASSERT_EQ(workload_error(f.name, f.n), "");
-    const Recording rec =
+    const TaskGraph rec =
         testing::engine().record(make_workload(f.name, f.n, 0));
-    EXPECT_EQ(rec.stats.work, f.work);
-    EXPECT_EQ(rec.stats.span, f.span);
-    EXPECT_EQ(rec.stats.accesses, f.accesses);
-    EXPECT_EQ(rec.stats.activations, f.activations);
+    EXPECT_EQ(rec.stats().work, f.work);
+    EXPECT_EQ(rec.stats().span, f.span);
+    EXPECT_EQ(rec.stats().accesses, f.accesses);
+    EXPECT_EQ(rec.stats().activations, f.activations);
     const Metrics m = testing::engine()
                           .replay(rec, Backend::kSimPws, fingerprint_machine(),
                                   false)
@@ -89,22 +89,17 @@ TEST(Graph, RecordedStatsMatchAnalyze) {
   for (const Fingerprint& f : kFingerprints) {
     SCOPED_TRACE(f.name);
     const AnyProg prog = make_workload(f.name, f.n, 0);
-    const Recording mem = eng.record(prog);
-    ASSERT_TRUE(mem.graph.recorded_stats.has_value());
-    EXPECT_EQ(*mem.graph.recorded_stats, mem.stats);
-    EXPECT_EQ(mem.stats, mem.graph.analyze());
-
-    const Recording str = eng.record_stream(prog, testing::tiny_stream(2));
-    ASSERT_TRUE(str.graph.streaming());
-    EXPECT_EQ(str.stats, str.graph.analyze());
-    EXPECT_EQ(str.stats, mem.stats);
-
-    const Recording pad = eng.record(prog, /*padded=*/true);
-    EXPECT_EQ(pad.stats, pad.graph.analyze());
-
-    const Recording sh = eng.record(prog, false, 4096, /*shard=*/5);
-    EXPECT_EQ(sh.stats, sh.graph.analyze());
-    EXPECT_EQ(sh.stats, mem.stats);
+    const TaskGraph mem = eng.record(prog);
+    const TaskGraph str = eng.record_stream(prog, testing::tiny_stream(2));
+    const TaskGraph pad = eng.record(prog, /*padded=*/true);
+    const TaskGraph sh = eng.record(prog, false, 4096, /*shard=*/5);
+    ASSERT_TRUE(str.streaming());
+    for (const TaskGraph* g : {&mem, &str, &pad, &sh}) {
+      ASSERT_TRUE(g->recorded_stats.has_value());
+      EXPECT_EQ(*g->recorded_stats, g->analyze());
+    }
+    EXPECT_EQ(*str.recorded_stats, *mem.recorded_stats);
+    EXPECT_EQ(*sh.recorded_stats, *mem.recorded_stats);
     covered.insert(f.name);
   }
   EXPECT_EQ(covered.size(), workload_rows().size());
