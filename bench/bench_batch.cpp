@@ -12,8 +12,6 @@
 //
 //   $ ./bench_batch [--shards=8] [--n=4096] [--p=8] [--M=4096] [--B=32]
 //                   [--replay-threads=0]   # 0 = hardware concurrency
-//                   [--replay-groups=0]    # partition host workers into
-//                                          # NUMA-style groups (0 = flat)
 //                   [--backends=sim-pws]   # any replay backend
 //                   [--out=BENCH_batch.json]
 #include <cstdio>
@@ -30,8 +28,6 @@ int main(int argc, char** argv) {
   const uint32_t shards = static_cast<uint32_t>(cli.get_int("shards", 8));
   const uint32_t replay_threads =
       static_cast<uint32_t>(cli.get_int("replay-threads", 0));
-  const uint32_t replay_groups =
-      static_cast<uint32_t>(cli.get_int("replay-groups", 0));
 
   RunOptions opt;
   const std::vector<Backend> backends = backends_from_cli(cli, "sim-pws");
@@ -68,12 +64,6 @@ int main(int argc, char** argv) {
 
   opt.sim.replay_threads = replay_threads;
   const uint32_t t_eff = replay_host_threads(replay_threads, shards);
-  if (replay_groups > 0) {
-    // Group-partitioned host pool (same shape as the par-numa backends);
-    // a host knob — the RO_CHECKs below still require the metrics to
-    // match the one-thread batch exactly.
-    opt.sim.replay_layout = rt::GroupLayout::contiguous(t_eff, replay_groups);
-  }
   const JobResult par_jr = engine().submit(
       {.kind = JobKind::kBatch, .shards = shards, .opt = opt}, progs);
   RO_CHECK_MSG(par_jr.ok(), par_jr.error.c_str());

@@ -1,6 +1,7 @@
 #include "ro/engine/engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "ro/engine/fields.h"
@@ -108,6 +109,23 @@ unsigned hw_threads() {
   return hw == 0 ? 2 : std::min(hw, rt::kMaxPoolThreads);
 }
 
+/// Runs fn(0) .. fn(n - 1), each an independent walk or trace job, on
+/// replay_host_threads(threads, n) workers, or inline when that is one.
+/// fn must only write per-index state.  The pool is created per call: a
+/// cached shared pool would break under concurrent callers, the spawn cost
+/// is noise next to any walk worth overlapping, and Pool::run is not
+/// reentrant, so a fn that itself fans out must do so with threads = 1.
+void replay_parallel_for(uint32_t threads, size_t n,
+                         const std::function<void(size_t)>& fn) {
+  const uint32_t t = replay_host_threads(threads, n);
+  if (t <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  rt::Pool pool(t, rt::PoolOptions{});
+  rt::parallel_index(pool, n, fn);
+}
+
 /// Copies the graph's TraceStore statistics (segments, spilled bytes,
 /// resident high-water, reloads) into the report; no-op for resident
 /// graphs.
@@ -138,21 +156,24 @@ void fill_replay(RunReport& r, const TaskGraph& g, Backend backend,
   r.B = sim.B;
   if (seq_baseline && kind != SchedKind::kSeq) {
     // The main replay and its p=1 baseline are independent walks of the
-    // same trace: with replay_threads > 1 they (and their shard units)
-    // overlap on pool threads, metrics unchanged.
-    std::vector<ReplayJob> jobs(2);
-    jobs[0] = ReplayJob{&g, kind, sim};
-    jobs[1] = ReplayJob{&g, SchedKind::kSeq, sim};
-    // The baseline walk must not record into the caller's profile: it is
-    // a different machine (p=1 has no coherence traffic to attribute),
-    // and the two jobs run concurrently.  The remap, if any, stays — the
-    // baseline then measures the repaired layout's Q(n,M,B).
-    jobs[1].cfg.profile = nullptr;
-    std::vector<Metrics> res = simulate_all(jobs, sim.replay_threads);
-    r.sim = std::move(res[0]);
+    // same trace: with replay_threads > 1 they overlap on two host
+    // threads, metrics unchanged.  The baseline must not record into the
+    // caller's profile: it is a different machine (p=1 has no coherence
+    // traffic to attribute), and the two walks run concurrently.  The
+    // remap, if any, stays — the baseline then measures the repaired
+    // layout's Q(n,M,B).
+    SimConfig base = sim;
+    base.profile = nullptr;
+    Metrics seq;
+    replay_parallel_for(sim.replay_threads, 2, [&](size_t i) {
+      if (i == 0)
+        r.sim = simulate(g, kind, sim);
+      else
+        seq = simulate(g, SchedKind::kSeq, base);
+    });
     r.has_baseline = true;
-    r.q_seq = res[1].cache_misses();
-    r.seq_makespan = res[1].makespan;
+    r.q_seq = seq.cache_misses();
+    r.seq_makespan = seq.makespan;
     r.cache_excess = excess(r.sim.cache_misses(), r.q_seq);
     return;
   }
@@ -352,6 +373,11 @@ std::string spec_error(const JobSpec& spec) {
 
 }  // namespace
 
+uint32_t replay_host_threads(uint32_t requested, size_t units) {
+  const uint32_t t = requested != 0 ? requested : hw_threads();
+  return static_cast<uint32_t>(std::min<size_t>(t, units));
+}
+
 namespace detail {
 
 TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
@@ -438,7 +464,7 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
     // The shared machine walks the merged trace, so only the record step
     // runs per shard on the pool.
     std::vector<Recorded> recs(n);
-    replay_parallel_for(opt.sim.replay_threads, opt.sim, n, [&](size_t i) {
+    replay_parallel_for(opt.sim.replay_threads, n, [&](size_t i) {
       recs[i] = record_job(progs[i], opt, static_cast<uint32_t>(i));
     });
     Metrics sim = replay_shared(br, std::move(recs), opt);
@@ -454,7 +480,7 @@ BatchReport Engine::run_batch_any(const std::vector<AnyProg>& progs,
   if (replay_host_threads(opt.sim.replay_threads, n) > 1)
     sopt.sim.replay_threads = 1;
   std::vector<TraceRun> runs(n);
-  replay_parallel_for(opt.sim.replay_threads, opt.sim, n, [&](size_t i) {
+  replay_parallel_for(opt.sim.replay_threads, n, [&](size_t i) {
     runs[i] = run_trace(progs[i], sopt, static_cast<uint32_t>(i));
   });
   std::vector<Metrics> per;

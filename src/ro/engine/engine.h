@@ -108,6 +108,10 @@ TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
 
 }  // namespace detail
 
+/// Host workers for `units` independent walks (SimConfig::replay_threads
+/// semantics): 0 = hardware concurrency, then clamped to `units`.
+uint32_t replay_host_threads(uint32_t requested, size_t units);
+
 class Engine {
  public:
   Engine() = default;

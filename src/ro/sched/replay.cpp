@@ -1,11 +1,9 @@
 #include "ro/sched/replay.h"
 
 #include <deque>
-#include <thread>
 #include <vector>
 
 #include "ro/core/remap.h"
-#include "ro/rt/pool.h"
 #include "ro/sched/arena.h"
 #include "ro/sim/cache.h"
 #include "ro/sim/contention.h"
@@ -74,16 +72,16 @@ SpanLayout layout_spans(const std::vector<ShardSpan>& spans,
   return lo;
 }
 
-/// Replays one or more shard spans as a single unit: the priority-round
+/// Replays one or more shard spans as one walk: the priority-round
 /// sequence on one simulated machine (cores, caches, directory, stack
 /// arenas).  Addresses are rebased per span (SpanLayout), so the dense
 /// directory and ever-loaded bitsets stay as small as the spans' combined
 /// data regardless of which shards the data was recorded in.  One instance
-/// never touches state outside its spans — the invariant that makes units
-/// safe to run on concurrent host threads.
+/// never touches state outside its spans, so independent walks may run on
+/// concurrent host threads (the Engine's business, not the simulator's).
 ///
-/// The classic sharded replay constructs one single-span instance per
-/// shard (independent machines); capacity-shared replay (simulate_shared)
+/// simulate() constructs one single-span instance per shard, in shard
+/// order (independent machines); capacity-shared replay (simulate_shared)
 /// constructs one instance over ALL spans, whose roots are co-scheduled on
 /// the shared cores and whose misses/transfers can be attributed per span
 /// through `shares`.
@@ -656,120 +654,21 @@ class ShardReplayer {
   bool done_ = false;
 };
 
-/// One shard replay unit: (graph, span, scheduler, machine) -> Metrics.
-struct Unit {
-  const TaskGraph* g = nullptr;
-  ShardSpan span;
-  SchedKind kind = SchedKind::kSeq;
-  SimConfig cfg;
-  uint32_t job = 0;   // owning ReplayJob (simulate_all)
-  uint32_t part = 0;  // index of `span` in the graph (source_of)
-};
-
 SimConfig effective_cfg(SchedKind kind, SimConfig cfg) {
   if (kind == SchedKind::kSeq) cfg.p = 1;
   return cfg;
 }
 
-Metrics run_unit(const Unit& u) {
-  return ShardReplayer(*u.g, {u.span}, u.kind, u.cfg,
-                       {source_of(*u.g, u.part)})
-      .run();
-}
-
-/// Host pool for the parallel replay phase.  A flat random-stealing pool
-/// by default; when the caller's SimConfig carries a replay_layout the
-/// workers are group-partitioned like the par-numa backends (a layout
-/// sized for a different thread count falls back to a contiguous split
-/// with the same group count — the clamp to the unit count must not
-/// invalidate it).  A host knob only: unit metrics never depend on it.
-rt::Pool make_replay_pool(uint32_t threads, const SimConfig& cfg) {
-  rt::PoolOptions popt;
-  popt.policy = rt::StealPolicy::kRandom;
-  if (cfg.replay_layout.groups() > 0) {
-    popt.layout = cfg.replay_layout.valid(threads)
-                      ? cfg.replay_layout
-                      : rt::GroupLayout::contiguous(threads,
-                                                    cfg.replay_layout.groups());
-    popt.pin = cfg.replay_pin;
-  }
-  return rt::Pool(threads, popt);
-}
-
-/// Runs every unit (results indexed like `units`), on `threads` host
-/// workers when that buys anything.  Each unit is a fully sequential
-/// ShardReplayer walk, so the assignment of units to threads cannot change
-/// any unit's Metrics — only the wall clock.
-std::vector<Metrics> run_units(std::vector<Unit> units,
-                               uint32_t replay_threads) {
-  // Concurrent units must not share a caller-provided ContentionProfile:
-  // each profiled unit records into its own local, merged back below in
-  // unit (= job, then shard) order after the barrier.  The merge itself is
-  // order-insensitive (pure sums), so profiled replay is bit-identical for
-  // every replay_threads value — the same guarantee Metrics carry.
-  std::vector<ContentionProfile> local(units.size());
-  std::vector<ContentionProfile*> sink(units.size(), nullptr);
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (units[i].cfg.profile != nullptr) {
-      sink[i] = units[i].cfg.profile;
-      units[i].cfg.profile = &local[i];
-    }
-  }
-  std::vector<Metrics> out(units.size());
-  if (!units.empty()) {
-    replay_parallel_for(replay_threads, units[0].cfg, units.size(),
-                        [&](size_t i) { out[i] = run_unit(units[i]); });
-  }
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (sink[i] != nullptr) sink[i]->merge(local[i]);
-  }
-  return out;
-}
-
-std::vector<Unit> units_of(const TaskGraph& g, SchedKind kind,
-                           const SimConfig& cfg, uint32_t job) {
-  std::vector<Unit> units;
-  const SimConfig ecfg = effective_cfg(kind, cfg);
-  const std::vector<ShardSpan> spans = g.shard_spans();
-  for (size_t k = 0; k < spans.size(); ++k) {
-    units.push_back(
-        Unit{&g, spans[k], kind, ecfg, job, static_cast<uint32_t>(k)});
-  }
-  return units;
-}
-
 }  // namespace
 
-uint32_t replay_host_threads(uint32_t requested, size_t units) {
-  uint32_t t = requested;
-  if (t == 0) {
-    t = std::thread::hardware_concurrency();
-    if (t == 0) t = 2;
-  }
-  return static_cast<uint32_t>(std::min<size_t>(t, units));
-}
-
-void replay_parallel_for(uint32_t threads, const SimConfig& cfg, size_t n,
-                         const std::function<void(size_t)>& fn) {
-  // A pool per call on purpose: a cached shared pool would break under
-  // concurrent callers, and the spawn cost (~tens of µs) is noise next to
-  // any replay worth parallelizing.
-  const uint32_t t = replay_host_threads(threads, n);
-  if (t <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  rt::Pool pool = make_replay_pool(t, cfg);
-  rt::parallel_index(pool, n, fn);
-}
-
-std::vector<Metrics> simulate_shards(const TaskGraph& g, SchedKind kind,
-                                     const SimConfig& cfg) {
-  return run_units(units_of(g, kind, cfg, 0), cfg.replay_threads);
-}
-
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg) {
-  std::vector<Metrics> parts = simulate_shards(g, kind, cfg);
+  const SimConfig ecfg = effective_cfg(kind, cfg);
+  const std::vector<ShardSpan> spans = g.shard_spans();
+  std::vector<Metrics> parts;
+  for (size_t k = 0; k < spans.size(); ++k) {
+    parts.push_back(
+        ShardReplayer(g, {spans[k]}, kind, ecfg, {source_of(g, k)}).run());
+  }
   if (parts.size() == 1) return std::move(parts[0]);
   return merge_shard_metrics(parts);
 }
@@ -782,28 +681,6 @@ Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
   std::vector<PartCursor> srcs;
   for (size_t k = 0; k < spans.size(); ++k) srcs.push_back(source_of(g, k));
   return ShardReplayer(g, spans, kind, ecfg, srcs, shares).run();
-}
-
-std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
-                                  uint32_t threads) {
-  std::vector<Unit> units;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    auto ju = units_of(*jobs[j].g, jobs[j].kind, jobs[j].cfg,
-                       static_cast<uint32_t>(j));
-    units.insert(units.end(), ju.begin(), ju.end());
-  }
-  std::vector<Metrics> per_unit = run_units(units, threads);
-  std::vector<std::vector<Metrics>> grouped(jobs.size());
-  for (size_t i = 0; i < units.size(); ++i) {
-    grouped[units[i].job].push_back(
-        std::move(per_unit[i]));  // unit order == shard order
-  }
-  std::vector<Metrics> out(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    out[j] = grouped[j].size() == 1 ? std::move(grouped[j][0])
-                                    : merge_shard_metrics(grouped[j]);
-  }
-  return out;
 }
 
 }  // namespace ro

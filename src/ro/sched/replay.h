@@ -23,22 +23,20 @@
 // completion, two reads at the join) is injected here because its addresses
 // depend on which arena the activation's frame landed on.
 //
-// ## Parallel replay (sharded)
+// ## Host parallelism
 //
-// The *unit* of host parallelism is one shard's full priority-round
-// sequence on its own simulated machine (own cores, caches, Directory,
-// arenas).  Within a unit the walk is inherently sequential: every access
-// consults the coherence directory, and any finer-grained interleaving
-// would change miss classification and transfer counts — exactly the
-// false-sharing effects the simulator exists to count.  Shards, however,
-// share no addresses (vspace.h bit split) and no activations, so their
-// round sequences commute: with `SimConfig::replay_threads > 1` the shard
-// units of a merged batch graph — and independent jobs such as the main
-// replay and its p = 1 baseline — run on real rt::Pool threads, and the
-// per-core Cache/Directory observables of each unit are merged into one
-// Metrics at the final round barrier *in shard order*.  That canonical
-// merge order is the determinism guarantee: any replay_threads value
-// (including 1, the plain sequential walk) yields bit-identical Metrics.
+// The simulator is single-threaded: simulate() walks each shard of `g` on
+// its own simulated machine (own cores, caches, Directory, arenas), one
+// after the other in shard order, and merges the parts with
+// merge_shard_metrics.  Within a machine the walk is inherently
+// sequential: every access consults the coherence directory, and any
+// finer-grained interleaving would change miss classification and
+// transfer counts — exactly the false-sharing effects the simulator exists
+// to count.  The unit of host parallelism is therefore an independent
+// walk, and the Engine owns it: a run job's main walk and its p = 1
+// baseline, and each shard chain of a batch, run side by side on its host
+// pool (SimConfig::replay_threads).  Walks share no state, so every
+// replay_threads value yields bit-identical Metrics.
 //
 // ## Batch schedule
 //
@@ -53,11 +51,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ro/core/graph.h"
-#include "ro/rt/numa.h"
 #include "ro/sim/metrics.h"
 
 namespace ro {
@@ -92,30 +88,20 @@ struct SimConfig {
   // of ping-ponging per word.  0 = plain invalidation protocol.
   uint32_t write_hold = 0;
 
-  // Host threads replaying shard units (see header comment).  1 = the
-  // sequential walk (default), 0 = hardware concurrency.  A host knob, not
-  // a machine parameter: it never appears in Metrics, and every value
-  // produces bit-identical results.
+  // Host threads the Engine runs independent walks on (see header
+  // comment); simulate() itself ignores it.  1 = one walk after the other
+  // (default), 0 = hardware concurrency.  A host knob, not a machine
+  // parameter: it never appears in Metrics, and every value produces
+  // bit-identical results.
   uint32_t replay_threads = 1;
-
-  // NUMA-aware host replay pool: when the layout is non-empty, the
-  // replay_threads workers are partitioned into its groups exactly like
-  // the par-numa backends (rt::numa_group_layout derives one from the
-  // host topology, GroupLayout::contiguous forces a count).  A layout
-  // sized for a different worker count than the effective (unit-clamped)
-  // one falls back to a contiguous split with the same group count.
-  // `replay_pin` additionally pins replay workers to their group's node
-  // cpus.  Host knobs like replay_threads: never visible in Metrics.
-  rt::GroupLayout replay_layout;
-  bool replay_pin = false;
 
   // Optional per-line coherence attribution (sim/contention.h): when
   // non-null, replay additionally records every invalidation, coherence
   // miss and block transfer on *data* addresses per (line, word, task)
-  // into this profile (accumulated, never cleared).  Parallel shard units
-  // record into per-unit locals merged back in shard order, so the
-  // profile — like Metrics — is bit-identical for every replay_threads
-  // value.  A host-side observer: it never changes Metrics.
+  // into this profile (accumulated, never cleared).  Every counter is a
+  // sum, so the profile of a merged graph equals the merge of its shards'
+  // profiles.  The walk writes it unguarded: no two concurrent walks may
+  // share one.  A host-side observer: it never changes Metrics.
   ContentionProfile* profile = nullptr;
 
   // Optional trace transformation (core/remap.h): when non-null, every
@@ -129,10 +115,10 @@ struct SimConfig {
   uint32_t effective_steal_latency() const;
 };
 
-/// Replays `g` under the given scheduler; deterministic for kSeq/kPws and
-/// for kRws at fixed seed, for every replay_threads value.  A merged batch
-/// graph replays its shards in parallel and returns the shard-order merge
-/// (merge_shard_metrics).
+/// Replays `g` under the given scheduler on the calling thread;
+/// deterministic for kSeq/kPws and for kRws at fixed seed.  A merged batch
+/// graph walks each shard on its own machine, in shard order, and returns
+/// the merge of the parts (merge_shard_metrics).
 Metrics simulate(const TaskGraph& g, SchedKind kind, const SimConfig& cfg);
 
 /// Per-tenant share of a capacity-shared replay (simulate_shared): every
@@ -154,49 +140,12 @@ struct TenantShare {
 /// is capacity and scheduling, never aliasing.  Span 0's root starts on
 /// core 0; the other roots are seeded round-robin onto core deques before
 /// the walk, stealable like any fork.  Deterministic for every SchedKind at
-/// fixed seed (the walk is one sequential unit; replay_threads does not
-/// apply).  When `shares` is non-null it is resized to the span count and
-/// filled with per-tenant attribution.  A single-span graph degenerates to
-/// exactly simulate()'s machine and Metrics.
+/// fixed seed.  When `shares` is non-null it is resized to the span count
+/// and filled with per-tenant attribution.  A single-span graph
+/// degenerates to exactly simulate()'s machine and Metrics.
 Metrics simulate_shared(const TaskGraph& g, SchedKind kind,
                         const SimConfig& cfg,
                         std::vector<TenantShare>* shares = nullptr);
-
-/// Per-shard metrics of `g`'s components, in shard order (one entry for a
-/// classic single-shard graph).  `merge_shard_metrics` of the result equals
-/// simulate()'s return.
-std::vector<Metrics> simulate_shards(const TaskGraph& g, SchedKind kind,
-                                     const SimConfig& cfg);
-
-/// One independent replay request (used to overlap e.g. a PWS replay with
-/// its p = 1 baseline walk on the same trace).
-struct ReplayJob {
-  const TaskGraph* g = nullptr;
-  SchedKind kind = SchedKind::kSeq;
-  SimConfig cfg;
-};
-
-/// Replays all jobs — each expanded into its shard units — on up to
-/// `threads` pool workers; results in job order, each bit-identical to a
-/// sequential simulate() of that job.  All units of all jobs share one
-/// pool (configured from the first job's replay_layout/replay_pin), so
-/// e.g. a replay and its p = 1 baseline overlap.  threads semantics
-/// match SimConfig::replay_threads.
-std::vector<Metrics> simulate_all(const std::vector<ReplayJob>& jobs,
-                                  uint32_t threads);
-
-/// Resolves a replay_threads request against a unit count: 0 = hardware
-/// concurrency, then clamped to `units` (shared by the parallel record and
-/// replay phases so both scale the same way).
-uint32_t replay_host_threads(uint32_t requested, size_t units);
-
-/// Runs fn(0) .. fn(n - 1) on the host replay pool: replay_host_threads(
-/// threads, n) workers, grouped per cfg.replay_layout / replay_pin, or
-/// inline when that is one worker.  fn must only write per-index state.
-/// The pool is created per call: Pool::run is not reentrant, so a fn that
-/// itself fans out must do so with threads = 1.
-void replay_parallel_for(uint32_t threads, const SimConfig& cfg, size_t n,
-                         const std::function<void(size_t)>& fn);
 
 const char* sched_name(SchedKind k);
 

@@ -88,9 +88,9 @@ class ContentionProfile {
   /// A cache-to-cache transfer of `line`, fetched for `word`.
   void record_transfer(vaddr_t line, uint16_t word);
 
-  /// Accumulates another profile (shard / unit merge).  Order-insensitive:
-  /// every counter sums, so merging per-unit profiles in shard order — or
-  /// any order — yields the same result.
+  /// Accumulates another profile (e.g. a shard's).  Order-insensitive:
+  /// every counter sums, so merging per-shard profiles in any order yields
+  /// the same result.
   void merge(const ContentionProfile& o);
 
   const std::map<vaddr_t, Line>& lines() const { return lines_; }

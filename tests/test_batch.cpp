@@ -1,6 +1,6 @@
 // Sharded record/replay pipeline tests: shard address disjointness at the
 // context level, concurrent-vs-sequential recording equality, merged-graph
-// structure, parallel-replay metrics determinism (--replay-threads), and
+// structure, replay metrics determinism across --replay-threads, and
 // the batch-job BatchReport.
 #include <gtest/gtest.h>
 
@@ -170,9 +170,9 @@ TEST(Batch, MergeShardsRemapsIndices) {
 }
 
 TEST(Batch, MergedReplayEqualsStandaloneReplays) {
-  // Replaying the merged batch must give, per shard, exactly the metrics of
-  // replaying each recording on its own machine — the sharded accounting
-  // is exact, not approximate.
+  // Replaying the merged batch must give exactly the merge of replaying
+  // each recording on its own machine — the sharded accounting is exact,
+  // not approximate.
   const size_t n = 192;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
@@ -185,42 +185,37 @@ TEST(Batch, MergedReplayEqualsStandaloneReplays) {
     lone.push_back(simulate(g, SchedKind::kPws, cfg));
   }
   const TaskGraph merged = merge_shards(std::move(parts));
-  const std::vector<Metrics> per =
-      simulate_shards(merged, SchedKind::kPws, cfg);
-  ASSERT_EQ(per.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(per[i], lone[i]) << "shard " << i;
   EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg),
-            merge_shard_metrics(per));
+            merge_shard_metrics(lone));
 }
 
 TEST(Batch, ReplayThreadsAreMetricsDeterministic) {
   // The acceptance criterion: --replay-threads in {1, 2, 8} yields
   // bit-identical Metrics on route / listrank / SPMS traces, single-shard
-  // and merged-batch, under both PWS and (seeded) RWS.
+  // and merged-batch, under both PWS and (seeded) RWS.  Engine::replay
+  // with the p=1 baseline on overlaps the two walks when threads > 1.
   const size_t n = 160;
   Engine& eng = testing::engine();
   std::vector<TaskGraph> parts;
   parts.push_back(eng.record(prog_route(n), false, 4096, 0));
   parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
   parts.push_back(eng.record(prog_spms(4 * n), false, 4096, 2));
-
-  for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-    for (const TaskGraph& g : parts) {  // single-shard traces
-      const Metrics base = simulate(g, kind, small_machine(1));
+  const auto expect_deterministic = [&](const TaskGraph& g,
+                                        const std::string& what) {
+    for (const Backend b : {Backend::kSimPws, Backend::kSimRws}) {
+      const RunReport base = eng.replay(g, b, small_machine(1));
       for (const uint32_t t : {2u, 8u}) {
-        EXPECT_EQ(simulate(g, kind, small_machine(t)), base)
-            << sched_name(kind) << " threads=" << t;
+        const RunReport r = eng.replay(g, b, small_machine(t));
+        const std::string where =
+            what + " " + backend_name(b) + " threads=" + std::to_string(t);
+        EXPECT_EQ(r.sim, base.sim) << where;
+        EXPECT_EQ(r.q_seq, base.q_seq) << where;
+        EXPECT_EQ(r.seq_makespan, base.seq_makespan) << where;
       }
     }
-  }
-  const TaskGraph merged = merge_shards(std::move(parts));
-  for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-    const Metrics base = simulate(merged, kind, small_machine(1));
-    for (const uint32_t t : {2u, 8u}) {
-      EXPECT_EQ(simulate(merged, kind, small_machine(t)), base)
-          << "merged " << sched_name(kind) << " threads=" << t;
-    }
-  }
+  };
+  for (const TaskGraph& g : parts) expect_deterministic(g, "single-shard");
+  expect_deterministic(merge_shards(std::move(parts)), "merged");
 }
 
 /// FNV-1a over every Metrics field in declaration order: one number that
@@ -396,13 +391,8 @@ TEST(Batch, ReplayMatchesFrozenGoldens) {
   ASSERT_EQ(merged_rows.size(), 4u);
   const TaskGraph merged = merge_shards(std::move(parts));
   for (const Golden* gd : merged_rows) {
-    for (const uint32_t threads : {1u, 2u}) {
-      SimConfig cfg = machine(gd->machine);
-      cfg.replay_threads = threads;
-      check(simulate(merged, gd->kind, cfg), *gd,
-            std::string("merged machine=") + gd->machine +
-                " threads=" + std::to_string(threads));
-    }
+    check(simulate(merged, gd->kind, machine(gd->machine)), *gd,
+          std::string("merged machine=") + gd->machine);
   }
 }
 

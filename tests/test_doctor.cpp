@@ -101,27 +101,30 @@ TEST(ContentionProfile, PackedCountersAttribution) {
 }
 
 TEST(ContentionProfile, DeterministicAcrossReplayThreads) {
-  // A two-shard merged batch exercises the per-unit profile merge path:
-  // the host walks shards (and their cores) on 1 / 2 / 8 threads, and the
-  // merged attribution must be bit-identical every time.
+  // A two-shard merged batch: each shard walks on its own machine into the
+  // caller's profile, so the merged attribution must equal the merge of
+  // each shard's own profile.  With the p=1 baseline on, threads 2 / 8
+  // walk it concurrently with the main walk, and it must not write into
+  // the profile: the result stays bit-identical to threads=1.
   std::vector<TaskGraph> parts;
   parts.push_back(engine().record(wl::counters(8, 16, 1), false, 4096, 0));
   parts.push_back(engine().record(wl::msum(512), false, 4096, 1));
-  const TaskGraph merged = merge_shards(std::move(parts));
-
-  ContentionProfile base;
-  {
-    SimConfig cfg = doctor_cfg(1);
-    cfg.profile = &base;
-    engine().replay(merged, Backend::kSimPws, cfg, false);
-  }
-  ASSERT_FALSE(base.empty());
-  for (const uint32_t rt : {2u, 8u}) {
+  const auto profile_of = [](const TaskGraph& g, uint32_t rt) {
     ContentionProfile prof;
     SimConfig cfg = doctor_cfg(rt);
     cfg.profile = &prof;
-    engine().replay(merged, Backend::kSimPws, cfg, false);
-    EXPECT_EQ(prof, base) << "replay_threads=" << rt;
+    engine().replay(g, Backend::kSimPws, cfg, /*seq_baseline=*/true);
+    return prof;
+  };
+  ContentionProfile shard_merge;
+  for (const TaskGraph& g : parts) shard_merge.merge(profile_of(g, 1));
+  const TaskGraph merged = merge_shards(std::move(parts));
+
+  const ContentionProfile base = profile_of(merged, 1);
+  ASSERT_FALSE(base.empty());
+  EXPECT_EQ(base, shard_merge);
+  for (const uint32_t rt : {2u, 8u}) {
+    EXPECT_EQ(profile_of(merged, rt), base) << "replay_threads=" << rt;
   }
 }
 
@@ -238,13 +241,14 @@ TEST(Doctor, PackedCountersRepairedAtLeastTwofold) {
   // The repaired replay is the same computation on a better layout.
   EXPECT_EQ(d.after.sim.compute(), d.before.sim.compute());
 
-  // Bit-exact repaired metrics at every host replay parallelism.
+  // Bit-exact repaired metrics at every host replay parallelism (with the
+  // baseline on, so the two walks overlap).
   for (const uint32_t rt : {2u, 8u}) {
     SimConfig cfg = doctor_cfg(rt);
     cfg.remap = &d.plan.remap;
-    EXPECT_EQ(engine().replay(rec, Backend::kSimPws, cfg, false).sim,
-              d.after.sim)
-        << "replay_threads=" << rt;
+    const RunReport r = engine().replay(rec, Backend::kSimPws, cfg);
+    EXPECT_EQ(r.sim, d.after.sim) << "replay_threads=" << rt;
+    EXPECT_EQ(r.q_seq, d.after.q_seq) << "replay_threads=" << rt;
   }
 }
 

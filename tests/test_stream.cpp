@@ -368,17 +368,22 @@ TEST(StreamReplay, BitIdenticalAcrossWindowsAndThreads) {
   fams.push_back({"listrank", prog_listrank(n)});
   fams.push_back({"spms", prog_spms(4 * n)});
 
+  // Through Engine::replay with the p=1 baseline on, so threads > 1
+  // overlap the main walk and the baseline on two host threads.
   for (const Family& f : fams) {
     const TaskGraph mem = eng.record(f.prog);
-    for (const SchedKind kind : {SchedKind::kPws, SchedKind::kRws}) {
-      const Metrics base = simulate(mem, kind, stream_machine(1));
+    for (const Backend b : {Backend::kSimPws, Backend::kSimRws}) {
+      const RunReport base = eng.replay(mem, b, stream_machine(1));
       for (const uint32_t window : {1u, 2u, 0u}) {  // 0 = unbounded
         const TaskGraph str =
             eng.record_stream(f.prog, tiny_stream(window));
         for (const uint32_t threads : {1u, 2u, 8u}) {
-          EXPECT_EQ(simulate(str, kind, stream_machine(threads)), base)
-              << f.name << " " << sched_name(kind) << " window=" << window
+          const RunReport r = eng.replay(str, b, stream_machine(threads));
+          EXPECT_EQ(r.sim, base.sim)
+              << f.name << " " << backend_name(b) << " window=" << window
               << " threads=" << threads;
+          EXPECT_EQ(r.q_seq, base.q_seq);
+          EXPECT_EQ(r.seq_makespan, base.seq_makespan);
         }
       }
     }
@@ -560,31 +565,6 @@ TEST(StreamReport, EngineRunReportsStoreStats) {
                                                    prog_route(n));
   ASSERT_TRUE(again.ok()) << again.error;
   EXPECT_EQ(again.report.trace_segment_loads, r.trace_segment_loads);
-}
-
-// ---- NUMA-aware replay host pool (SimConfig::replay_layout) ----
-
-TEST(StreamReplay, GroupedReplayPoolIsMetricsDeterministic) {
-  const size_t n = 192;
-  Engine& eng = testing::engine();
-  std::vector<TaskGraph> parts;
-  parts.push_back(eng.record(prog_route(n), false, 4096, 0));
-  parts.push_back(eng.record(prog_listrank(n), false, 4096, 1));
-  parts.push_back(eng.record(prog_spms(2 * n), false, 4096, 2));
-  const TaskGraph merged = merge_shards(std::move(parts));
-
-  const Metrics base = simulate(merged, SchedKind::kPws, stream_machine(1));
-  for (const uint32_t groups : {1u, 2u, 4u}) {
-    SimConfig cfg = stream_machine(4);
-    cfg.replay_layout = rt::GroupLayout::contiguous(4, groups);
-    EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg), base)
-        << "groups=" << groups;
-  }
-  // A layout sized for a different thread count than the effective one
-  // falls back to a contiguous split with the same group count.
-  SimConfig cfg = stream_machine(8);
-  cfg.replay_layout = rt::GroupLayout::contiguous(16, 2);
-  EXPECT_EQ(simulate(merged, SchedKind::kPws, cfg), base);
 }
 
 }  // namespace
