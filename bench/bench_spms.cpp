@@ -18,8 +18,9 @@
 //    the optimized legs only, since a -O0 or sanitized build is not a
 //    statement about the kernels.
 //
-// For each sort we record one trace at --n (default 2^16, the acceptance
-// size) and replay it on sim-PWS and sim-RWS; Q(n,M,B) is the p=1
+// For each sort, one job per sim backend records a trace at --n (default
+// 2^16, the acceptance size) and replays it on sim-PWS or sim-RWS; every
+// job runs under the --spms-* tuning.  Q(n,M,B) is the p=1
 // sequential cache complexity from the baseline replay, the column the
 // paper's Table 1 reports.  The parallel backends run the same program on
 // real threads for wall-clock.  Expected shape: Q(spms) <= Q(msort) for
@@ -40,10 +41,18 @@ namespace {
 
 // Records one SPMS sort of the bench input at `n` under `t` and returns
 // the critical-path span.  Deterministic: same n + same tuning = same
-// value on every build and host.
+// value on every build and host.  The job replays on one core, the
+// cheapest walk; the span is the recording's.
 uint64_t spms_span(size_t n, const alg::SpmsTuning& t) {
-  SpmsTuningGuard guard(t);
-  return engine().record(wl::sort(n, alg::SortKind::kSpms)).stats().span;
+  RunOptions opt;
+  opt.backend = Backend::kSimPws;
+  opt.sim = cfg(1, 1 << 12, 32);
+  opt.seq_baseline = false;
+  opt.spms = t;
+  const JobResult jr =
+      engine().submit({.opt = opt}, wl::sort(n, alg::SortKind::kSpms));
+  RO_CHECK_MSG(jr.ok(), jr.error.c_str());
+  return jr.report.graph.span;
 }
 
 double span_norm(size_t n, uint64_t span) {
@@ -59,10 +68,12 @@ int main(int argc, char** argv) {
   SimConfig c = cfg(static_cast<uint32_t>(cli.get_int("p", 8)),
                     static_cast<uint64_t>(cli.get_int("M", 1 << 12)),
                     static_cast<uint32_t>(cli.get_int("B", 32)));
+  // --spms-* flags tune every job below, the recordings included.
   RunOptions base_opt;
   spms_from_cli(cli, base_opt);
-  // --spms-* flags steer the recordings below too, not just the par runs.
-  SpmsTuningGuard tuning(base_opt.spms.value_or(alg::spms_tuning()));
+  base_opt.sim = c;
+  base_opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  const alg::SpmsTuning tuning = base_opt.spms.value_or(alg::SpmsTuning{});
 
   Table t("E18: SPMS vs msort (n=" + std::to_string(n) + ")");
   t.header({"sort", "backend", "W", "T_inf", "Q(n,M,B)", "misses", "excess",
@@ -71,26 +82,24 @@ int main(int argc, char** argv) {
   uint64_t q[2] = {0, 0};
   for (SortKind kind : {SortKind::kMsort, SortKind::kSpms}) {
     const char* name = alg::sort_kind_name(kind);
-    const TaskGraph rec = engine().record(wl::sort(n, kind));
-    for (Backend b : {Backend::kSimPws, Backend::kSimRws}) {
-      const RunReport r = engine().replay(rec, b, c);
-      if (b == Backend::kSimPws) q[kind == SortKind::kSpms] = r.q_seq;
-      t.row({name, backend_name(b), Table::num(rec.stats().work),
-             Table::num(rec.stats().span), Table::num(r.q_seq),
-             Table::num(r.sim.cache_misses()), Table::num(r.cache_excess),
-             Table::num(r.sim.makespan), Table::num(r.sim_speedup()),
-             Table::num(r.wall_ms)});
-    }
-    for (Backend b : {Backend::kParRandom, Backend::kParPriority}) {
+    for (Backend b : {Backend::kSimPws, Backend::kSimRws, Backend::kParRandom,
+                      Backend::kParPriority}) {
       RunOptions opt = base_opt;
       opt.backend = b;
-      opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
       opt.label = name;
-      const JobResult r_jr =
-          engine().submit({.opt = opt}, wl::sort(n, kind));
-      RO_CHECK_MSG(r_jr.ok(), r_jr.error.c_str());
-      const RunReport& r = r_jr.report;
-      t.row({name, backend_name(b), "-", "-", "-", "-", "-", "-", "-",
+      const JobResult jr = engine().submit({.opt = opt}, wl::sort(n, kind));
+      RO_CHECK_MSG(jr.ok(), jr.error.c_str());
+      const RunReport& r = jr.report;
+      if (!backend_is_sim(b)) {
+        t.row({name, backend_name(b), "-", "-", "-", "-", "-", "-", "-",
+               Table::num(r.wall_ms)});
+        continue;
+      }
+      if (b == Backend::kSimPws) q[kind == SortKind::kSpms] = r.q_seq;
+      t.row({name, backend_name(b), Table::num(r.graph.work),
+             Table::num(r.graph.span), Table::num(r.q_seq),
+             Table::num(r.sim.cache_misses()), Table::num(r.cache_excess),
+             Table::num(r.sim.makespan), Table::num(r.sim_speedup()),
              Table::num(r.wall_ms)});
     }
   }
@@ -105,13 +114,13 @@ int main(int argc, char** argv) {
     Table st("Span trend: interleaved vs staged (span / (lg n · lg lg n))");
     st.header({"n", "T_inf (interleaved)", "T_inf (staged)", "staged/intl",
                "norm"});
-    alg::SpmsTuning staged = alg::spms_tuning();
+    alg::SpmsTuning staged = tuning;
     staged.interleave = false;
     double norm_min = 0, norm_max = 0;
     bool first = true;
     const size_t lo = std::max<size_t>(4096, n / 16);
     for (size_t m = lo; m <= n; m <<= 1) {
-      const uint64_t intl = spms_span(m, alg::spms_tuning());
+      const uint64_t intl = spms_span(m, tuning);
       const uint64_t stg = spms_span(m, staged);
       const double norm = span_norm(m, intl);
       st.row({Table::num(static_cast<uint64_t>(m)), Table::num(intl),
@@ -147,7 +156,7 @@ int main(int argc, char** argv) {
 
     double sort_ms[2] = {0, 0};
     for (const bool kernels : {false, true}) {
-      alg::SpmsTuning kt = alg::spms_tuning();
+      alg::SpmsTuning kt = tuning;
       kt.kernels = kernels;
       RunOptions opt = base_opt;
       opt.backend = Backend::kSeq;

@@ -115,10 +115,10 @@ inline void numa_from_cli(const Cli& cli, RunOptions& opt) {
 /// alg::SpmsTuning is overridable from the command line so bench sweeps
 /// never need a recompile; each flag is its row's in spms_fields()
 /// (engine/fields.h).  Only materializes RunOptions::spms when at least
-/// one flag is present, so the process default stays in charge otherwise.
+/// one flag is present, so the defaults stay in charge otherwise.
 /// A value that is not of its knob's type aborts naming the knob.
 inline void spms_from_cli(const Cli& cli, RunOptions& opt) {
-  alg::SpmsTuning t = alg::spms_tuning();
+  alg::SpmsTuning t;
   bool any = false;
   for (const Field<alg::SpmsTuning>& f : spms_fields()) {
     if (!cli.has(f.flag)) continue;
@@ -129,23 +129,6 @@ inline void spms_from_cli(const Cli& cli, RunOptions& opt) {
   }
   if (any) opt.spms = t;
 }
-
-/// Installs `t` as the process-default SpmsTuning for its lifetime —
-/// the bench-side twin of the RunOptions::spms engine guard, for code
-/// paths (Engine::record) that take no RunOptions.
-class SpmsTuningGuard {
- public:
-  explicit SpmsTuningGuard(const alg::SpmsTuning& t)
-      : saved_(alg::spms_tuning()) {
-    alg::set_spms_tuning(t);
-  }
-  ~SpmsTuningGuard() { alg::set_spms_tuning(saved_); }
-  SpmsTuningGuard(const SpmsTuningGuard&) = delete;
-  SpmsTuningGuard& operator=(const SpmsTuningGuard&) = delete;
-
- private:
-  alg::SpmsTuning saved_;
-};
 
 /// One scalar-vs-kernel head-to-head on the pairwise merge base case: the
 /// branchy scalar loop (what the recording backends execute) against

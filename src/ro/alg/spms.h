@@ -47,14 +47,17 @@
 // frame-local (cx.local), so replay reuses arena stacks exactly as msort's
 // temporaries do.
 //
-// Tuning: every threshold lives in SpmsTuning (process-wide default via
-// spms_tuning()/set_spms_tuning, per-run override via RunOptions::spms,
-// per-call override via the trailing parameter) so bench sweeps never need
-// a recompile.
+// Tuning: every threshold lives in SpmsTuning.  A sort reads it from its
+// context (spms_tuning_of: an Engine job's EngineCtx carries the job's
+// RunOptions::spms, any other context the defaults) or from the trailing
+// per-call parameter, so bench sweeps never need a recompile and no
+// process-wide state decides how a job sorts.
 #pragma once
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ro/alg/kernels.h"
@@ -117,11 +120,28 @@ struct SpmsTuning {
   bool operator==(const SpmsTuning&) const = default;
 };
 
-/// Process-wide tuning the sort uses when no explicit override is passed.
-/// set_spms_tuning RO_CHECKs the invariants (nonzero thresholds); it is
-/// not synchronized — install before spawning concurrent runs.
-const SpmsTuning& spms_tuning();
-void set_spms_tuning(const SpmsTuning& t);
+namespace detail {
+
+template <class Ctx, class = void>
+struct has_spms_tuning : std::false_type {};
+
+template <class Ctx>
+struct has_spms_tuning<
+    Ctx, std::void_t<decltype(std::declval<const Ctx&>().spms_tuning())>>
+    : std::true_type {};
+
+}  // namespace detail
+
+/// The tuning a sort on `cx` runs under: the context's own when it carries
+/// one (an Engine job's EngineCtx holds the job's), the defaults otherwise.
+template <class Ctx>
+SpmsTuning spms_tuning_of(const Ctx& cx) {
+  if constexpr (detail::has_spms_tuning<Ctx>::value) {
+    return cx.spms_tuning();
+  } else {
+    return SpmsTuning{};
+  }
+}
 
 namespace detail {
 
@@ -836,12 +856,19 @@ void spms_sort_rec(Ctx& cx, Slice<i64> a, Slice<i64> out, size_t base,
 
 }  // namespace detail
 
-/// Sorts `a` into `out` with SPMS (non-destructive; |a| = |out|).  `tn`
-/// overrides the process-wide tuning for this call.
+/// Sorts `a` into `out` with SPMS (non-destructive; |a| = |out|) under
+/// the tuning `tn`.
+template <class Ctx>
+void spms(Ctx& cx, Slice<i64> a, Slice<i64> out, size_t base, size_t grain,
+          const SpmsTuning& tn) {
+  detail::spms_sort_rec(cx, a, out, base, grain, 0, tn);
+}
+
+/// As above, under the context's tuning (spms_tuning_of).
 template <class Ctx>
 void spms(Ctx& cx, Slice<i64> a, Slice<i64> out, size_t base = 32,
-          size_t grain = 1, const SpmsTuning& tn = spms_tuning()) {
-  detail::spms_sort_rec(cx, a, out, base, grain, 0, tn);
+          size_t grain = 1) {
+  spms(cx, a, out, base, grain, spms_tuning_of(cx));
 }
 
 /// Runtime dispatch for the sort-consuming algorithms (route, LR, CC,

@@ -14,6 +14,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "ro/alg/spms.h"
 #include "ro/core/ctx_base.h"
 #include "ro/engine/report.h"
 #include "ro/core/seq_ctx.h"
@@ -28,12 +29,16 @@ namespace detail {
 /// Uniform run() seam over the concrete contexts: forwards the whole
 /// Context surface to `Inner` and captures the TaskGraph that only the
 /// recording context produces, so one generic `prog(cx)` works everywhere.
+/// It also carries the job's SPMS tuning, which alg::spms and alg::sort_by
+/// read through alg::spms_tuning_of; the one-argument form uses the
+/// defaults.
 template <class Inner>
 class EngineCtx : public CtxBase<EngineCtx<Inner>> {
  public:
   static constexpr bool kRecording = Inner::kRecording;
 
   explicit EngineCtx(Inner& in) : in_(in) {}
+  EngineCtx(Inner& in, const alg::SpmsTuning& spms) : in_(in), spms_(spms) {}
 
   template <class T>
   void on_access(const Slice<T>& s, size_t i, bool write) {
@@ -65,9 +70,11 @@ class EngineCtx : public CtxBase<EngineCtx<Inner>> {
   }
 
   TaskGraph& graph() { return graph_; }
+  const alg::SpmsTuning& spms_tuning() const { return spms_; }
 
  private:
   Inner& in_;
+  alg::SpmsTuning spms_;
   TaskGraph graph_;
 };
 

@@ -12,54 +12,6 @@
 
 namespace ro {
 
-namespace detail {
-
-TuningGate::Lease& TuningGate::Lease::operator=(Lease&& o) noexcept {
-  if (this != &o) {
-    if (gate_ != nullptr) gate_->leave();
-    gate_ = o.gate_;
-    o.gate_ = nullptr;
-  }
-  return *this;
-}
-
-TuningGate::Lease::~Lease() {
-  if (gate_ != nullptr) gate_->leave();
-}
-
-TuningGate::Lease TuningGate::enter(
-    const std::optional<alg::SpmsTuning>& want) {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    if (active_ == 0) {
-      // Machine idle: this job starts a group.  Snapshot the process
-      // default so later joiners with no override compare against what
-      // "default" meant when the group formed, and restore it on drain.
-      base_ = alg::spms_tuning();
-      cur_ = want.value_or(base_);
-      if (want.has_value() && !(cur_ == base_)) alg::set_spms_tuning(cur_);
-      active_ = 1;
-      return Lease(this);
-    }
-    if (want.value_or(base_) == cur_) {
-      ++active_;  // same effective tuning: join the running group
-      return Lease(this);
-    }
-    cv_.wait(lk);
-  }
-}
-
-void TuningGate::leave() {
-  std::lock_guard<std::mutex> lk(mu_);
-  RO_CHECK_MSG(active_ > 0, "TuningGate lease underflow");
-  if (--active_ == 0) {
-    if (!(cur_ == base_)) alg::set_spms_tuning(base_);
-    cv_.notify_all();
-  }
-}
-
-}  // namespace detail
-
 doctor::DoctorReport Engine::diagnose(const TaskGraph& g, Backend backend,
                                       const SimConfig& sim,
                                       const doctor::DoctorOptions& opt,
@@ -205,7 +157,7 @@ Recorded record_job(const AnyProg& prog, const RunOptions& opt,
   Recorded rec;
   rec.g = detail::record_graph(
       prog, opt.trace.segment_tasks > 0 ? &opt.trace : nullptr, opt.padded,
-      opt.align_words, shard);
+      opt.align_words, shard, opt.spms.value_or(alg::SpmsTuning{}));
   rec.ms = ms_since(t0);
   return rec;
 }
@@ -381,7 +333,8 @@ uint32_t replay_host_threads(uint32_t requested, size_t units) {
 namespace detail {
 
 TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
-                       bool padded, uint64_t align_words, uint32_t shard) {
+                       bool padded, uint64_t align_words, uint32_t shard,
+                       const alg::SpmsTuning& spms) {
   TraceCtx::Options topt;
   topt.padded = padded;
   topt.align_words = align_words;
@@ -390,7 +343,7 @@ TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
     topt.store = std::make_shared<TraceStore>(stream->store_options());
   }
   TraceCtx cx(topt);
-  detail::EngineCtx<TraceCtx> ec(cx);
+  detail::EngineCtx<TraceCtx> ec(cx, spms);
   prog(ec);
   return std::move(ec.graph());
 }
@@ -402,10 +355,11 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
   r.label = opt.label;
   r.backend = opt.backend;
   const auto t0 = std::chrono::steady_clock::now();
+  const alg::SpmsTuning spms = opt.spms.value_or(alg::SpmsTuning{});
   switch (opt.backend) {
     case Backend::kSeq: {
       SeqCtx cx;
-      detail::EngineCtx<SeqCtx> ec(cx);
+      detail::EngineCtx<SeqCtx> ec(cx, spms);
       prog(ec);
       break;
     }
@@ -423,7 +377,7 @@ RunReport Engine::run_one(const AnyProg& prog, const RunOptions& opt) {
       rt::Pool& pool = lease.pool();
       const rt::PoolStats before = pool.stats();
       rt::ParCtx cx(pool, opt.serial_below);
-      detail::EngineCtx<rt::ParCtx> ec(cx);
+      detail::EngineCtx<rt::ParCtx> ec(cx, spms);
       prog(ec);
       const rt::PoolStats after = pool.stats();
       r.has_pool = true;
@@ -527,14 +481,10 @@ JobResult Engine::submit(const JobSpec& spec, const AnyProg& prog) {
                         backend_name(spec.opt.backend));
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const detail::TuningGate::Lease gate = tuning_gate_.enter(spec.opt.spms);
   if (spec.kind == JobKind::kRun) {
     jr.report = run_one(prog, spec.opt);
   } else {  // kDiagnose: record here, then run the doctor loop
-    const RunOptions& opt = spec.opt;
-    const TaskGraph g = detail::record_graph(
-        prog, opt.trace.segment_tasks > 0 ? &opt.trace : nullptr, opt.padded,
-        opt.align_words, opt.shard);
+    const TaskGraph g = record_job(prog, spec.opt, spec.opt.shard).g;
     jr.doctor = diagnose(g, spec.opt.backend, spec.opt.sim, spec.doc,
                          spec.opt.label);
     jr.has_doctor = true;
@@ -558,7 +508,6 @@ JobResult Engine::submit(const JobSpec& spec,
       return fail(jr, "batch program cannot record (empty or non-trace)");
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const detail::TuningGate::Lease gate = tuning_gate_.enter(spec.opt.spms);
   jr.batch = run_batch_any(progs, spec.opt);
   jr.has_batch = true;
   jr.exec_ms = ms_since(t0);

@@ -25,19 +25,16 @@
 // versioned spec describes it (docs/engine.md), the result comes back as a
 // JobResult with a status instead of an abort, and submit is safe to call
 // from many threads at once.  Pools come from a thread-safe PoolCache under
-// exclusive leases, and per-job SPMS tuning goes through a TuningGate
-// instead of an unsynchronized global swap.  record / replay / diagnose
-// expose the two phases separately for benches that replay one trace on
-// many machines.
+// exclusive leases, and a job's SPMS tuning travels in its context
+// (EngineCtx), so differently tuned jobs run side by side.  record /
+// replay / diagnose expose the two phases separately for benches that
+// replay one trace on many machines.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,50 +58,13 @@ namespace ro {
 
 namespace detail {
 
-/// Serializes jobs over the process-wide SPMS tuning (alg::spms_tuning is
-/// read as a default argument on pool threads mid-record, so it cannot be
-/// job-local state).  Jobs whose *effective* tuning — their RunOptions
-/// override, or the process default snapshotted when the machine was idle —
-/// matches the currently installed one proceed concurrently; a job needing
-/// a different tuning waits for the active group to drain, installs its
-/// own, and the default is restored when the last job of a group leaves.
-/// This replaces the old unsynchronized per-run global swap
-/// (SpmsTuningScope), which silently corrupted concurrent runs.
-class TuningGate {
- public:
-  class Lease {
-   public:
-    Lease(Lease&& o) noexcept : gate_(o.gate_) { o.gate_ = nullptr; }
-    Lease& operator=(Lease&& o) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
-
-   private:
-    friend class TuningGate;
-    explicit Lease(TuningGate* gate) : gate_(gate) {}
-    TuningGate* gate_ = nullptr;
-  };
-
-  /// Blocks until `want` (or, unset, the idle-snapshot default) can be the
-  /// installed tuning, then joins the active group.
-  Lease enter(const std::optional<alg::SpmsTuning>& want);
-
- private:
-  void leave();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t active_ = 0;       // jobs currently inside the gate
-  alg::SpmsTuning cur_{};     // tuning the active group runs under
-  alg::SpmsTuning base_{};    // process default snapshotted at group start
-};
-
 /// The recording core of every trace path: executes `prog` through a
-/// fresh TraceCtx into address shard `shard` and returns the graph with
-/// its recorded_stats.  `stream` non-null selects the chunked TraceStore.
+/// fresh TraceCtx into address shard `shard`, SPMS tuned by `spms`, and
+/// returns the graph with its recorded_stats.  `stream` non-null selects
+/// the chunked TraceStore.
 TaskGraph record_graph(const AnyProg& prog, const StreamOptions* stream,
-                       bool padded, uint64_t align_words, uint32_t shard);
+                       bool padded, uint64_t align_words, uint32_t shard,
+                       const alg::SpmsTuning& spms = {});
 
 }  // namespace detail
 
@@ -122,8 +82,8 @@ class Engine {
 
   /// Executes the named workload the spec selects (spec.workload, resolved
   /// through engine/workloads.h) as a kRun / kBatch / kDiagnose job.
-  /// Thread-safe: concurrent submits share the pool cache and serialize
-  /// only when their SPMS tunings differ.  Invalid specs come back as
+  /// Thread-safe: concurrent submits share the pool cache and run side by
+  /// side whatever their SPMS tunings.  Invalid specs come back as
   /// status kError with a reason — never an abort — so wire callers
   /// (ro-serve) stay up across bad input.
   JobResult submit(const JobSpec& spec);
@@ -143,9 +103,8 @@ class Engine {
   /// the trace is not read back.
   /// `shard` selects the address shard recorded into (0 = the classic
   /// single-shard layout); replay rebases per shard, so the shard choice
-  /// never changes the replayed Metrics.  Recording reads the *process
-  /// default* SPMS tuning: submit() is the entry point that coordinates
-  /// per-job tunings.
+  /// never changes the replayed Metrics.  SPMS runs with the default
+  /// tuning; a job that sets RunOptions::spms goes through submit().
   template <class Prog>
   TaskGraph record(Prog&& prog, bool padded = false,
                    uint64_t align_words = 4096, uint32_t shard = 0) {
@@ -217,7 +176,6 @@ class Engine {
   static PoolKey pool_key_of(const RunOptions& opt);
 
   PoolCache pool_cache_;
-  detail::TuningGate tuning_gate_;
   std::atomic<uint64_t> next_job_id_{1};
 };
 

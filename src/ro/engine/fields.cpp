@@ -161,10 +161,10 @@ bool read_field(const FieldInfo& f, const std::string& v, const FieldRef& r,
           *p = v;
         } else if constexpr (std::is_enum_v<T>) {
           if (!parse(v, *p)) return bad("a known name");
-        } else {  // the nested tuning, over the process default
+        } else {  // the nested tuning, over the defaults
           std::vector<std::pair<std::string, std::string>> kvs;
           if (!json::scan_object(v, kvs)) return bad("an object");
-          alg::SpmsTuning t = alg::spms_tuning();
+          alg::SpmsTuning t;
           std::string why;
           if (!read_fields(kvs, spms_fields(), t, &why))
             return fail(error, named(f, why));

@@ -2,8 +2,8 @@
 // key holds the key, a typed pointer to its member (the pointer's type is
 // the wire type), the legal range and a rule; defaults are the struct's
 // own.  The codec (JobSpec::to_json, jobspec_from_json), Engine::submit's
-// validation, set_spms_tuning and the `ro-serve submit` / bench `--spms-*`
-// flags all walk these rows.  docs/serve.md lists them for readers.
+// validation and the `ro-serve submit` / bench `--spms-*` flags all walk
+// these rows.  docs/serve.md lists them for readers.
 #pragma once
 
 #include <cstdint>

@@ -71,11 +71,9 @@ struct RunOptions {
   bool numa_pin = false;          // pin workers to their node's cpus (Linux)
 
   // ---- algorithm tuning ----
-  // Per-run override of the SPMS tuning knobs (alg/spms.h SpmsTuning).
-  // Submitted jobs whose effective tuning matches the running jobs' proceed
-  // concurrently; a job needing a different tuning waits for the machine to
-  // drain, then installs its override for the duration of its group
-  // (detail::TuningGate).  Unset = the process default.
+  // The job's SPMS tuning knobs (alg/spms.h SpmsTuning), carried by the
+  // job's context, so differently tuned jobs run concurrently.  Unset =
+  // the defaults.
   std::optional<alg::SpmsTuning> spms;
 };
 

@@ -105,8 +105,7 @@ class ShardReplayer {
         sp_(cfg.effective_steal_latency()),
         layout_(layout_spans(spans_, cfg,
                              g.align_words ? g.align_words : 4096)),
-        arenas_(layout_.data_top, g.align_words ? g.align_words : 4096,
-                cfg.chunk_words),
+        arenas_(layout_.data_top, g.align_words ? g.align_words : 4096),
         rng_(cfg.seed) {
     RO_CHECK_MSG(cfg_.p >= 1 && cfg_.p <= 64, "p must be in [1, 64]");
     RO_CHECK_MSG(cfg_.M / cfg_.B >= 1, "cache must hold >= 1 block");

@@ -7,7 +7,7 @@
 #include "ro/core/seq_ctx.h"
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
-#include "ro/sched/run.h"
+#include "ro/sched/replay.h"
 
 using namespace ro;
 using namespace ro::alg;
@@ -51,12 +51,14 @@ int main() {
   cfg.p = 8;
   cfg.M = 1 << 12;
   cfg.B = 32;
-  auto cmp = compare_schedulers(g, cfg);
-  std::printf("SEQ: %s\n", cmp.seq.summary().c_str());
-  std::printf("PWS: %s\n", cmp.pws.summary().c_str());
-  std::printf("RWS: %s\n", cmp.rws.summary().c_str());
-  RO_CHECK(cmp.seq.block_misses() == 0);
-  RO_CHECK(cmp.pws.steals() > 0);
+  const Metrics seq = simulate(g, SchedKind::kSeq, cfg);
+  const Metrics pws = simulate(g, SchedKind::kPws, cfg);
+  const Metrics rws = simulate(g, SchedKind::kRws, cfg);
+  std::printf("SEQ: %s\n", seq.summary().c_str());
+  std::printf("PWS: %s\n", pws.summary().c_str());
+  std::printf("RWS: %s\n", rws.summary().c_str());
+  RO_CHECK(seq.block_misses() == 0);
+  RO_CHECK(pws.steals() > 0);
   std::printf("smoke OK\n");
   return 0;
 }

@@ -9,7 +9,7 @@
 
 #include "ro/alg/scan.h"
 #include "ro/core/trace_ctx.h"
-#include "ro/sched/run.h"
+#include "ro/sched/replay.h"
 #include "ro/sim/cache.h"
 #include "ro/sim/directory.h"
 #include "ro/sim/flat_index.h"

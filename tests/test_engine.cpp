@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -436,7 +439,7 @@ TEST(Engine, ConcurrentSubmitsShareThePoolCacheSafely) {
   // At most one pool per concurrent caller (plus the golden's): the cache
   // reuses free pools instead of creating one per submit.
   EXPECT_LE(eng.pools_created(), static_cast<size_t>(kThreads + 1));
-  // Sim-backend submits race the same way (they share the TuningGate).
+  // Sim-backend submits race the same way.
   spec.opt.backend = Backend::kSimPws;
   spec.opt.threads = 0;
   std::vector<std::thread> sims;
@@ -449,6 +452,88 @@ TEST(Engine, ConcurrentSubmitsShareThePoolCacheSafely) {
   }
   for (std::thread& w : sims) w.join();
   EXPECT_EQ(sim_failures.load(), 0);
+}
+
+/// Two jobs meeting inside their programs: each announces itself, then
+/// waits a bounded time for the other to arrive while it is still there.
+struct Rendezvous {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+
+  /// True when the other job arrived within the bound.
+  bool meet() {
+    std::unique_lock<std::mutex> lk(mu);
+    ++arrived;
+    cv.notify_all();
+    return cv.wait_for(lk, std::chrono::seconds(5),
+                       [&] { return arrived == 2; });
+  }
+};
+
+/// An SPMS sort of n keys under the job's tuning that first meets `rv`
+/// (when non-null), recording whether it saw the other job and whether
+/// its output came out sorted.
+auto meeting_sort(size_t n, Rendezvous* rv, std::atomic<bool>* saw,
+                  std::atomic<bool>* sorted) {
+  return [=](auto& cx) {
+    auto a = cx.template alloc<i64>(n, "a");
+    Rng rng(n);
+    for (size_t i = 0; i < n; ++i)
+      a.raw()[i] = static_cast<i64>(rng.next() >> 1);
+    auto o = cx.template alloc<i64>(n, "o");
+    if (rv != nullptr) *saw = rv->meet();
+    cx.run(2 * n, [&] { alg::sort_by(cx, alg::SortKind::kSpms, a.slice(),
+                                     o.slice()); });
+    *sorted = std::is_sorted(o.raw(), o.raw() + n);
+  };
+}
+
+TEST(Engine, DifferentlyTunedSubmitsOverlap) {
+  // A job's SPMS tuning is part of the job, not of the process: two jobs
+  // with different tunings are in flight at once, and each sorts exactly
+  // as it does alone.
+  const size_t n = 4096;
+  alg::SpmsTuning staged;
+  staged.interleave = false;
+  for (const Backend b : {Backend::kSeq, Backend::kSimPws}) {
+    SCOPED_TRACE(backend_name(b));
+    Engine eng;
+    JobSpec spec[2];
+    for (JobSpec& s : spec) s.opt.backend = b;
+    spec[1].opt.spms = staged;
+
+    std::atomic<bool> saw[2] = {false, false};
+    std::atomic<bool> sorted[2] = {false, false};
+    JobResult solo[2];
+    for (int i = 0; i < 2; ++i) {
+      solo[i] = eng.submit(spec[i], meeting_sort(n, nullptr, nullptr,
+                                                 &sorted[i]));
+      ASSERT_TRUE(solo[i].ok()) << solo[i].error;
+    }
+
+    Rendezvous rv;
+    JobResult pair[2];
+    std::vector<std::thread> jobs;
+    for (int i = 0; i < 2; ++i) {
+      jobs.emplace_back([&, i] {
+        pair[i] = eng.submit(spec[i],
+                             meeting_sort(n, &rv, &saw[i], &sorted[i]));
+      });
+    }
+    for (std::thread& j : jobs) j.join();
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(pair[i].ok()) << pair[i].error;
+      EXPECT_TRUE(saw[i]) << "job " << i << " ran without the other";
+      EXPECT_TRUE(sorted[i]) << "job " << i;
+      EXPECT_EQ(pair[i].report.has_graph, backend_is_sim(b));
+      EXPECT_EQ(pair[i].report.graph.span, solo[i].report.graph.span)
+          << "job " << i;
+    }
+    if (backend_is_sim(b)) {  // the tunings differ where it shows
+      EXPECT_LT(solo[0].report.graph.span, solo[1].report.graph.span);
+    }
+  }
 }
 
 TEST(Engine, CapacitySharedBatchAttributesEveryMissAndTransfer) {

@@ -5,7 +5,7 @@
 
 #include "ro/alg/scan.h"
 #include "ro/core/trace_ctx.h"
-#include "ro/sched/run.h"
+#include "ro/sched/replay.h"
 
 namespace ro {
 namespace {

@@ -16,7 +16,7 @@
 #include "ro/core/trace_ctx.h"
 #include "ro/core/validate.h"
 #include "ro/engine/engine.h"
-#include "ro/sched/run.h"
+#include "ro/sched/replay.h"
 #include "ro/util/rng.h"
 
 namespace ro::testing {

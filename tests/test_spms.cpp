@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ro/alg/route.h"
@@ -252,15 +254,22 @@ TEST(Spms, LimitedAccessSingleWritePerLocation) {
 
 namespace {
 
-GraphStats record_sort(SortKind kind, size_t n) {
+/// Records `sort(cx, a, out)` on n random keys through a direct TraceCtx.
+template <class Sort>
+GraphStats record_keys(size_t n, Sort sort) {
   TraceCtx cx;
   auto a = cx.alloc<i64>(n, "a");
   Rng rng(n);
   for (size_t i = 0; i < n; ++i) a.raw()[i] = static_cast<i64>(rng.next() >> 1);
   auto out = cx.alloc<i64>(n, "o");
-  TaskGraph g =
-      cx.run(2 * n, [&] { alg::sort_by(cx, kind, a.slice(), out.slice()); });
+  TaskGraph g = cx.run(2 * n, [&] { sort(cx, a.slice(), out.slice()); });
   return g.analyze();
+}
+
+GraphStats record_sort(SortKind kind, size_t n) {
+  return record_keys(n, [kind](auto& cx, auto a, auto out) {
+    alg::sort_by(cx, kind, a, out);
+  });
 }
 
 }  // namespace
@@ -287,16 +296,16 @@ TEST(SpmsStructure, InterleavedSpanBeatsStagedAndStaysFlat) {
   // normalized by lg n · lg lg n must stay in a narrow band — the
   // O(log n · log log n) trend.  Spans are recording-derived and
   // deterministic, so these are exact comparisons, not noise bands.
-  alg::SpmsTuning staged = alg::spms_tuning();
+  alg::SpmsTuning staged;
   staged.interleave = false;
   double norm_min = 0, norm_max = 0;
   bool first = true;
   for (const size_t n : {4096u, 8192u, 16384u, 32768u}) {
     const uint64_t intl = record_sort(SortKind::kSpms, n).span;
-    const alg::SpmsTuning saved = alg::spms_tuning();
-    alg::set_spms_tuning(staged);
-    const uint64_t stg = record_sort(SortKind::kSpms, n).span;
-    alg::set_spms_tuning(saved);
+    const uint64_t stg =
+        record_keys(n, [&](auto& cx, auto a, auto out) {
+          alg::spms(cx, a, out, 32, 1, staged);
+        }).span;
     EXPECT_LE(intl, stg) << "interleaved span lost to the staged tree at n="
                          << n;
     const double lg = std::log2(static_cast<double>(n));
@@ -310,8 +319,7 @@ TEST(SpmsStructure, InterleavedSpanBeatsStagedAndStaysFlat) {
       << "normalized span not flat: [" << norm_min << ", " << norm_max << "]";
 }
 
-TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheRun) {
-  const alg::SpmsTuning before = alg::spms_tuning();
+TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheJob) {
   const size_t n = 4096;
   auto prog = [n](auto& cx) {
     auto a = cx.template alloc<i64>(n, "a");
@@ -319,7 +327,7 @@ TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheRun) {
     for (size_t i = 0; i < n; ++i)
       a.raw()[i] = static_cast<i64>(rng.next() >> 1);
     auto o = cx.template alloc<i64>(n, "o");
-    cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
+    return cx.run(2 * n, [&] { alg::spms(cx, a.slice(), o.slice()); });
   };
   RunOptions base;
   base.backend = Backend::kSimPws;
@@ -327,7 +335,7 @@ TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheRun) {
   ASSERT_TRUE(intl_jr.ok()) << intl_jr.error;
   const RunReport& intl = intl_jr.report;
   RunOptions override_opt = base;
-  alg::SpmsTuning staged = before;
+  alg::SpmsTuning staged;
   staged.interleave = false;
   override_opt.spms = staged;
   const JobResult stg_jr =
@@ -337,21 +345,32 @@ TEST(SpmsTuningKnobs, RunOptionsOverrideIsScopedToTheRun) {
   ASSERT_TRUE(intl.has_graph);
   ASSERT_TRUE(stg.has_graph);
   // The override took effect (the staged tree has the longer critical
-  // path) and was rolled back when the run finished.
+  // path) and lived only in its job: a recording through a bare TraceCtx
+  // afterwards sorts with the defaults.
   EXPECT_LT(intl.graph.span, stg.graph.span);
-  EXPECT_TRUE(alg::spms_tuning() == before);
+  TraceCtx cx;
+  EXPECT_EQ(prog(cx).analyze().span, intl.graph.span);
 }
 
-TEST(SpmsTuningKnobs, SetRejectsDegenerateValues) {
-  alg::SpmsTuning bad = alg::spms_tuning();
-  bad.merge_base = 1;
-  EXPECT_DEATH(alg::set_spms_tuning(bad), "merge_base");
-  bad = alg::spms_tuning();
-  bad.multisearch_leaf = 1;
-  EXPECT_DEATH(alg::set_spms_tuning(bad), "multisearch_leaf");
-  bad = alg::spms_tuning();
-  bad.stride_mul = 0;
-  EXPECT_DEATH(alg::set_spms_tuning(bad), "stride_mul");
+TEST(SpmsTuningKnobs, SubmitRefusesDegenerateValues) {
+  // A programmatic tuning is validated like a wire one: the job comes
+  // back as an error naming the knob instead of sorting with it.
+  alg::SpmsTuning merge_base, leaf, stride;
+  merge_base.merge_base = 1;
+  leaf.multisearch_leaf = 1;
+  stride.stride_mul = 0;
+  for (const auto& [knob, bad] : {std::pair{"merge_base", merge_base},
+                                  std::pair{"multisearch_leaf", leaf},
+                                  std::pair{"stride_mul", stride}}) {
+    JobSpec spec;
+    spec.workload = "sort-spms";
+    spec.n = 1024;
+    spec.opt.backend = Backend::kSeq;
+    spec.opt.spms = bad;
+    const JobResult jr = testing::engine().submit(spec);
+    EXPECT_EQ(jr.status, JobStatus::kError) << knob;
+    EXPECT_NE(jr.error.find(knob), std::string::npos) << jr.error;
+  }
 }
 
 }  // namespace
